@@ -1,7 +1,11 @@
 """Reference solvers: budgeted LASSO, log-barrier interior point, Bayesian LASSO.
 
-Implemented at the fidelity needed for head-to-head metric comparisons
-against the Dirichlet-posterior solver, nothing more.
+LASSO and IP share one constrained-QP core, a log-barrier Newton method on
+RSS's sufficient statistics (Gram, X'y, y'y). IP solves
+min RSS s.t. theta >= 0, sum theta <= C. LASSO solves the constrained form
+min RSS s.t. ||theta||_1 <= C (Tibshirani 1996) as the same problem on the
+split design [X, -X]. Implemented at the fidelity needed for head-to-head
+metric comparisons against the Dirichlet-posterior solver, nothing more.
 """
 
 from __future__ import annotations
@@ -11,12 +15,18 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .exceptions import BalsonError
-from .model import Dataset, ModelSpec, ParameterVector, design_matrix
+from .model import Dataset, ModelSpec, ParameterVector, design_matrix, merge_signed
 
 
 @dataclass(frozen=True)
 class LassoParams:
-    """Penalty search bounds and tolerances for the budget-matched LASSO."""
+    """Deprecated and ignored: the penalty search of the former LASSO solver.
+
+    :func:`lasso_fit` now solves the constrained form directly on the barrier
+    core, with ``BaselineConfig.ip`` as its schedule, so there is no penalty
+    to search. The class and ``BaselineConfig.lasso`` remain only so that
+    existing code and configs still construct.
+    """
 
     lambda_lo: float = 0.0
     lambda_hi: float | None = None  # None: 2 * max|X'y|, which fully shrinks
@@ -63,100 +73,27 @@ class BaselineConfig:
     gibbs: GibbsParams = field(default_factory=GibbsParams)
 
 
-def soft_threshold(z: float, threshold: float) -> float:
-    if z > threshold:
-        return z - threshold
-    if z < -threshold:
-        return z + threshold
-    return 0.0
-
-
-def lasso_coordinate_descent(
-    design: np.ndarray,
-    targets: np.ndarray,
-    lam: float,
-    theta0: np.ndarray | None = None,
-    max_sweeps: int = 10_000,
-    sweep_tol: float = 1e-10,
-    trace: list[float] | None = None,
-) -> np.ndarray:
-    """Cyclic coordinate descent on ||y - X theta||^2 + lam ||theta||_1.
-
-    The quadratic term is un-halved, so each coordinate update soft-thresholds
-    at lam/2. Appends the objective after every sweep to ``trace`` when given;
-    raises :class:`BalsonError` if the sweep cap is hit before the largest
-    coordinate move falls below ``sweep_tol``.
-    """
-    gram = design.T @ design
-    corr = design.T @ targets
-    yty = float(targets @ targets)
-    k = design.shape[1]
-    theta = np.zeros(k) if theta0 is None else np.asarray(theta0, dtype=np.float64).copy()
-
-    def objective():
-        return yty - 2.0 * float(corr @ theta) + float(theta @ gram @ theta) + lam * float(
-            np.abs(theta).sum()
-        )
-
-    for _ in range(max_sweeps):
-        biggest_move = 0.0
-        for j in range(k):
-            gjj = gram[j, j]
-            if gjj == 0.0:
-                continue
-            rho = corr[j] - float(gram[j] @ theta) + gjj * theta[j]
-            new = soft_threshold(rho, 0.5 * lam) / gjj
-            biggest_move = max(biggest_move, abs(new - theta[j]))
-            theta[j] = new
-        if trace is not None:
-            trace.append(objective())
-        if biggest_move <= sweep_tol:
-            return theta
-    resid = targets - design @ theta
-    raise BalsonError(
-        f"lasso coordinate descent did not converge; residual norm {np.linalg.norm(resid):.6g}"
-    )
-
-
 def lasso_fit(data: Dataset, spec: ModelSpec, cfg: BaselineConfig) -> np.ndarray:
-    """Budget-matched LASSO: bisect the penalty until ||theta||_1 = C.
+    """Budget-matched LASSO in its constrained form: min RSS s.t. ||theta||_1 <= C.
 
-    If even the unconstrained least-squares fit satisfies the budget, that
-    penalty-free limit is returned directly.
+    Splitting theta = theta+ - theta- with both parts nonnegative turns the
+    L1 ball into {theta+, theta- >= 0, sum <= C} on the design [X, -X], which
+    is the barrier core's problem (Tibshirani 1996). Only the split design's
+    sufficient statistics are formed, [[G, -G], [-G, G]] and [X'y, -X'y] from
+    the K x K Gram G, never [X, -X] itself. The barrier schedule is
+    ``cfg.ip``; ``cfg.lasso`` is ignored.
     """
-    params = cfg.lasso
     design = design_matrix(data.inputs, spec.order)
-    budget = spec.scale
-    theta_free, *_ = np.linalg.lstsq(design, data.targets, rcond=None)
-    if float(np.abs(theta_free).sum()) <= budget + params.budget_tol:
-        return theta_free
-    hi = params.lambda_hi
-    if hi is None:
-        hi = 2.0 * float(np.abs(design.T @ data.targets).max()) * (1.0 + 1e-9)
-    lo = params.lambda_lo
-    theta = None
-    best_feasible = None
-    for _ in range(params.max_bisections):
-        mid = 0.5 * (lo + hi)
-        theta = lasso_coordinate_descent(
-            design,
-            data.targets,
-            mid,
-            theta0=theta,
-            max_sweeps=params.max_sweeps,
-            sweep_tol=params.sweep_tol,
-        )
-        l1 = float(np.abs(theta).sum())
-        if abs(l1 - budget) <= params.budget_tol:
-            return theta
-        if l1 > budget:
-            lo = mid
-        else:
-            hi = mid
-            best_feasible = theta.copy()
-    if best_feasible is not None:
-        return best_feasible
-    raise BalsonError("lasso penalty bisection failed to match the budget")
+    gram = design.T @ design
+    xty = design.T @ data.targets
+    split = _barrier_qp(
+        np.block([[gram, -gram], [-gram, gram]]),
+        np.concatenate([xty, -xty]),
+        float(data.targets @ data.targets),
+        spec.scale,
+        cfg.ip,
+    )
+    return merge_signed(split)
 
 
 def ip_fit(
@@ -177,16 +114,30 @@ def ip_solve(
     params: IpParams,
     trace: list[np.ndarray] | None = None,
 ) -> np.ndarray:
-    """Primal log-barrier method on an explicit design matrix.
+    """Primal log-barrier method on an explicit design matrix (see :func:`_barrier_qp`)."""
+    return _barrier_qp(
+        design.T @ design, design.T @ targets, float(targets @ targets), budget, params, trace
+    )
 
-    Damped Newton on RSS - mu (sum ln theta_i + ln(C - sum theta)), with mu
-    shrunk geometrically until the (K+1) mu gap proxy is below tolerance.
+
+def _barrier_qp(
+    gram: np.ndarray,
+    xty: np.ndarray,
+    yty: float,
+    budget: float,
+    params: IpParams,
+    trace: list[np.ndarray] | None = None,
+) -> np.ndarray:
+    """min RSS(theta) s.t. theta >= 0, sum theta <= C, from RSS's sufficient statistics.
+
+    RSS(theta) = y'y - 2 theta'X'y + theta'G theta. Damped Newton on
+    RSS - mu (sum ln theta_i + ln(C - sum theta)), with mu shrunk
+    geometrically until the (K+1) mu gap proxy is below tolerance.
     Every iterate stays strictly feasible. ``trace`` collects the iterates.
     """
-    k = design.shape[1]
-    gram2 = 2.0 * (design.T @ design)
-    corr2 = 2.0 * (design.T @ targets)
-    yty = float(targets @ targets)
+    k = gram.shape[0]
+    gram2 = 2.0 * gram
+    corr2 = 2.0 * xty
 
     theta = np.full(k, budget / (2.0 * k))
     if trace is not None:

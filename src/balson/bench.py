@@ -12,6 +12,7 @@ import dataclasses
 import hashlib
 import json
 import time
+import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
@@ -282,6 +283,13 @@ def config_from_mapping(raw: dict) -> ExperimentConfig:
         kwargs["sampler"] = SamplerConfig(**raw.pop("sampler"))
     if "baselines" in raw:
         nested = dict(raw.pop("baselines"))
+        if "lasso" in nested:
+            warnings.warn(
+                'the "lasso" baseline key is deprecated and ignored: LASSO runs on the '
+                'barrier core with the "ip" schedule',
+                DeprecationWarning,
+                stacklevel=2,
+            )
         sub = {}
         for name, cls in (("lasso", "LassoParams"), ("ip", "IpParams"), ("gibbs", "GibbsParams")):
             if name in nested:

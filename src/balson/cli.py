@@ -203,12 +203,13 @@ def main(argv=None) -> int:
     except _UsageError as err:
         print(f"usage error: {err}", file=sys.stderr)
         return EXIT_USAGE
+    except (BalsonError, np.linalg.LinAlgError) as err:
+        # LinAlgError subclasses ValueError, so it is caught first.
+        print(f"numerical failure: {err}", file=sys.stderr)
+        return EXIT_NUMERICAL
     except ValueError as err:
         print(f"usage error: {err}", file=sys.stderr)
         return EXIT_USAGE
-    except BalsonError as err:
-        print(f"numerical failure: {err}", file=sys.stderr)
-        return EXIT_NUMERICAL
     except OSError as err:
         print(f"io failure: {err}", file=sys.stderr)
         return EXIT_IO

@@ -1,8 +1,7 @@
 """Evaluation metrics (MSE, normalized L1/L2 sparsity) and the paired t-test.
 
-The Student-t survival function is computed from scratch through the
-continued-fraction regularized incomplete beta, so the statistics stack
-carries no distribution dependencies.
+The Student-t survival function goes through the regularized incomplete
+beta function of ``scipy.special``.
 """
 
 from __future__ import annotations
@@ -10,6 +9,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from scipy.special import betainc
 
 from .exceptions import DegenerateStatisticError
 
@@ -42,64 +42,11 @@ def sparsity(theta_hat) -> float:
     return (root_k - l1 / l2) / (root_k - 1.0)
 
 
-def _beta_cf(a: float, b: float, x: float) -> float:
-    # Modified Lentz evaluation of the incomplete-beta continued fraction.
-    tiny = 1e-300
-    eps = 1e-16
-    qab = a + b
-    qap = a + 1.0
-    qam = a - 1.0
-    c = 1.0
-    d = 1.0 - qab * x / qap
-    if abs(d) < tiny:
-        d = tiny
-    d = 1.0 / d
-    h = d
-    for m in range(1, 400):
-        m2 = 2 * m
-        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 + aa * d
-        if abs(d) < tiny:
-            d = tiny
-        c = 1.0 + aa / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        h *= d * c
-        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1.0 + aa * d
-        if abs(d) < tiny:
-            d = tiny
-        c = 1.0 + aa / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < eps:
-            return h
-    raise DegenerateStatisticError("incomplete beta continued fraction did not converge")
-
-
 def regularized_incomplete_beta(a: float, b: float, x: float) -> float:
-    """I_x(a, b) by continued fraction, using the symmetry that converges fast."""
+    """I_x(a, b) for positive shapes; x is clamped to [0, 1]."""
     if not (a > 0.0 and b > 0.0):
         raise ValueError("shape parameters must be positive")
-    if x <= 0.0:
-        return 0.0
-    if x >= 1.0:
-        return 1.0
-    log_front = (
-        math.lgamma(a + b)
-        - math.lgamma(a)
-        - math.lgamma(b)
-        + a * math.log(x)
-        + b * math.log1p(-x)
-    )
-    front = math.exp(log_front)
-    if x < (a + 1.0) / (a + b + 2.0):
-        return front * _beta_cf(a, b, x) / a
-    return 1.0 - front * _beta_cf(b, a, 1.0 - x) / b
+    return float(betainc(a, b, min(max(x, 0.0), 1.0)))
 
 
 def student_t_sf(t: float, df: int) -> float:

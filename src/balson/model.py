@@ -112,12 +112,11 @@ class ResidualForm:
     """Residual sum of squares against a fixed design, for many coefficient rows.
 
     Precomputes the Gram matrix so each evaluation costs O(K^2) instead of
-    O(N K); values are clipped at zero to absorb cancellation.
+    O(N K); values are clipped at zero to absorb cancellation. Keeps only the
+    sufficient statistics (Gram, X'y, y'y), never the N-row design or targets.
     """
 
     def __init__(self, design: np.ndarray, targets: np.ndarray):
-        self.design = design
-        self.targets = targets
         self.gram = design.T @ design
         self.xty = design.T @ targets
         self.yty = float(targets @ targets)

@@ -8,6 +8,7 @@ round ``i`` always consumes the substream ``default_rng([seed, i])``.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -125,29 +126,36 @@ def normalize_log_weights(log_weights: np.ndarray) -> tuple[np.ndarray, float]:
     return weights, ess
 
 
-def _rejection(
-    design: np.ndarray,
-    targets: np.ndarray,
+def residual_problem(
+    design: np.ndarray, targets: np.ndarray, rejection: bool
+) -> tuple[ResidualForm, float | None]:
+    """The residual form of one solve, and the RS envelope floor if a rejection pass needs it.
+
+    Build both once per solve and pass them to every round. The design may
+    be dropped afterwards: neither holds on to it.
+    """
+    floor = min_rss(design, targets) if rejection else None
+    return ResidualForm(design, targets), floor
+
+
+def _accepted_chunks(
+    form: ResidualForm,
+    floor: float,
     prior: DirichletParams,
     budget: float,
-    cfg: SamplerConfig,
+    max_proposals: int,
     rng: np.random.Generator,
-) -> WeightedSampleSet:
-    form = ResidualForm(design, targets)
-    floor = min_rss(design, targets)
-    want = cfg.sample_count
-    kept = []
-    n_kept = 0
+) -> Iterator[tuple[np.ndarray, int]]:
+    """Propose and test in chunks until ``max_proposals`` is spent.
+
+    Yields (accepted rows, proposals) per chunk. A chunk's arrays stay alive
+    until the next chunk replaces them, and the generator has finished once
+    the cap is spent, so a caller that runs out of proposals holds none of
+    them.
+    """
     n_proposed = 0
-    n_accepted = 0
-    while n_kept < want:
-        remaining_budget = cfg.max_proposals - n_proposed
-        if remaining_budget <= 0:
-            raise RejectionBudgetError(
-                f"rejection budget exceeded: {n_proposed} proposals "
-                f"yielded {n_accepted} acceptances (need {want})"
-            )
-        m = min(_CHUNK, remaining_budget)
+    while n_proposed < max_proposals:
+        m = min(_CHUNK, max_proposals - n_proposed)
         draws = sample_batch(prior, rng, m)
         gap = form.rss(budget * draws) - floor
         if np.any(np.isnan(gap)):
@@ -155,29 +163,49 @@ def _rejection(
         accept_prob = np.exp(-0.5 * np.maximum(gap, 0.0))
         accepted = rng.random(m) <= accept_prob
         n_proposed += m
-        n_accepted += int(accepted.sum())
-        if accepted.any():
-            kept.append(draws[accepted])
-            n_kept += int(accepted.sum())
+        yield draws[accepted], m
+
+
+def _rejection(
+    form: ResidualForm,
+    floor: float,
+    prior: DirichletParams,
+    budget: float,
+    cfg: SamplerConfig,
+    rng: np.random.Generator,
+) -> WeightedSampleSet:
+    want = cfg.sample_count
+    kept = []
+    n_kept = 0
+    n_proposed = 0
+    for rows, m in _accepted_chunks(form, floor, prior, budget, cfg.max_proposals, rng):
+        kept.append(rows)
+        n_kept += rows.shape[0]
+        n_proposed += m
+        if n_kept >= want:
+            break
+    else:
+        raise RejectionBudgetError(
+            f"rejection budget exceeded: {n_proposed} proposals "
+            f"yielded {n_kept} acceptances (need {want})"
+        )
     samples = np.concatenate(kept)[:want]
     weights = np.full(want, 1.0 / want)
     return WeightedSampleSet(
         samples=samples,
         weights=weights,
         ess=float(want),
-        acceptance_rate=n_accepted / n_proposed,
+        acceptance_rate=n_kept / n_proposed,
     )
 
 
 def _importance(
-    design: np.ndarray,
-    targets: np.ndarray,
+    form: ResidualForm,
     prior: DirichletParams,
     budget: float,
     cfg: SamplerConfig,
     rng: np.random.Generator,
 ) -> WeightedSampleSet:
-    form = ResidualForm(design, targets)
     draws = sample_batch(prior, rng, cfg.sample_count)
     rss = form.rss(budget * draws)
     if np.any(np.isnan(rss)):
@@ -205,8 +233,8 @@ def rejection_sample(
         raise ValueError("prior dimension must equal the model order")
     if rng is None:
         rng = round_rng(cfg.seed, 0)
-    design = design_matrix(data.inputs, spec.order)
-    return _rejection(design, data.targets, prior, spec.scale, cfg, rng)
+    form, floor = residual_problem(design_matrix(data.inputs, spec.order), data.targets, True)
+    return _rejection(form, floor, prior, spec.scale, cfg, rng)
 
 
 def importance_sample(
@@ -227,8 +255,8 @@ def importance_sample(
         raise ValueError("prior dimension must equal the model order")
     if rng is None:
         rng = round_rng(cfg.seed, 0)
-    design = design_matrix(data.inputs, spec.order)
-    return _importance(design, data.targets, prior, spec.scale, cfg, rng)
+    form, _ = residual_problem(design_matrix(data.inputs, spec.order), data.targets, False)
+    return _importance(form, prior, spec.scale, cfg, rng)
 
 
 def weighted_moments(sample_set: WeightedSampleSet) -> tuple[np.ndarray, np.ndarray]:
@@ -243,8 +271,8 @@ def weighted_moments(sample_set: WeightedSampleSet) -> tuple[np.ndarray, np.ndar
 
 
 def _iterated(
-    design: np.ndarray,
-    targets: np.ndarray,
+    form: ResidualForm,
+    floor: float | None,
     prior: DirichletParams,
     budget: float,
     cfg: SamplerConfig,
@@ -257,11 +285,11 @@ def _iterated(
         kind = first if rnd == 0 else "is"
         try:
             if kind == "rs":
-                batch = _rejection(design, targets, alpha, budget, cfg, rng)
+                batch = _rejection(form, floor, alpha, budget, cfg, rng)
             else:
                 # Proposal and prior are both Dir(alpha), so the weights
                 # reduce to the data likelihood alone.
-                batch = _importance(design, targets, alpha, budget, cfg, rng)
+                batch = _importance(form, alpha, budget, cfg, rng)
             mean, variance = weighted_moments(batch)
             alpha = match_moments_per_dim(mean, variance)
         except BalsonError as err:
@@ -295,8 +323,8 @@ def rsirs(
     """
     if len(prior) != spec.order:
         raise ValueError("prior dimension must equal the model order")
-    design = design_matrix(data.inputs, spec.order)
-    return _iterated(design, data.targets, prior, spec.scale, cfg, "rs", trace)
+    form, floor = residual_problem(design_matrix(data.inputs, spec.order), data.targets, True)
+    return _iterated(form, floor, prior, spec.scale, cfg, "rs", trace)
 
 
 def isirs(
@@ -309,5 +337,5 @@ def isirs(
     """Same refinement loop as :func:`rsirs` but round 0 is an importance pass."""
     if len(prior) != spec.order:
         raise ValueError("prior dimension must equal the model order")
-    design = design_matrix(data.inputs, spec.order)
-    return _iterated(design, data.targets, prior, spec.scale, cfg, "is", trace)
+    form, _ = residual_problem(design_matrix(data.inputs, spec.order), data.targets, False)
+    return _iterated(form, None, prior, spec.scale, cfg, "is", trace)

@@ -19,6 +19,7 @@ from .model import (
     Dataset,
     ModelSpec,
     ParameterVector,
+    ResidualForm,
     design_matrix,
     merge_signed,
     rescale,
@@ -30,11 +31,14 @@ from .samplers import (
     _importance,
     _iterated,
     _rejection,
+    residual_problem,
     round_rng,
     weighted_moments,
 )
 
 METHODS = ("RS", "IS", "RSIRS", "ISIRS")
+# Schemes whose first pass is rejection sampling, which needs the RSS floor.
+_REJECTION_FIRST = ("RS", "RSIRS")
 
 
 def uniform_prior(k: int) -> DirichletParams:
@@ -80,16 +84,17 @@ class FitReport:
     diagnostics: SolveDiagnostics
 
 
-def _solve_design(design: np.ndarray, targets: np.ndarray, cfg: BalsonConfig) -> FitReport:
+def _solve_design(form: ResidualForm, floor: float | None, cfg: BalsonConfig) -> FitReport:
+    """Run ``cfg``'s scheme on one solve's residual form and RS floor (see ``residual_problem``)."""
     started = time.perf_counter()
     budget = cfg.spec.scale
     trace: list[RoundRecord] = []
     if cfg.method in ("RS", "IS"):
         rng = round_rng(cfg.sampler.seed, 0)
         if cfg.method == "RS":
-            batch = _rejection(design, targets, cfg.prior, budget, cfg.sampler, rng)
+            batch = _rejection(form, floor, cfg.prior, budget, cfg.sampler, rng)
         else:
-            batch = _importance(design, targets, cfg.prior, budget, cfg.sampler, rng)
+            batch = _importance(form, cfg.prior, budget, cfg.sampler, rng)
         mean, variance = weighted_moments(batch)
         alpha_star = match_moments_per_dim(mean, variance)
         trace.append(
@@ -97,7 +102,7 @@ def _solve_design(design: np.ndarray, targets: np.ndarray, cfg: BalsonConfig) ->
         )
     else:
         first = "rs" if cfg.method == "RSIRS" else "is"
-        alpha_star = _iterated(design, targets, cfg.prior, budget, cfg.sampler, first, trace)
+        alpha_star = _iterated(form, floor, cfg.prior, budget, cfg.sampler, first, trace)
     try:
         omega_star = mode(alpha_star)
         fallback = False
@@ -129,8 +134,10 @@ def solve(data: Dataset, cfg: BalsonConfig) -> FitReport:
     """Fit nonnegative budgeted polynomial coefficients to the dataset."""
     if len(cfg.prior) != cfg.spec.order:
         raise ValueError("prior dimension must equal the model order")
-    design = design_matrix(data.inputs, cfg.spec.order)
-    return _solve_design(design, data.targets, cfg)
+    form, floor = residual_problem(
+        design_matrix(data.inputs, cfg.spec.order), data.targets, cfg.method in _REJECTION_FIRST
+    )
+    return _solve_design(form, floor, cfg)
 
 
 def solve_signed(data: Dataset, cfg: BalsonConfig) -> np.ndarray:
@@ -143,7 +150,13 @@ def solve_signed(data: Dataset, cfg: BalsonConfig) -> np.ndarray:
     signed_order = cfg.spec.order
     if len(cfg.prior) != 2 * signed_order:
         raise ValueError("prior dimension must be twice the signed order")
-    half = design_matrix(data.inputs, signed_order)
-    design = np.concatenate([half, -half], axis=1)
-    report = _solve_design(design, data.targets, cfg)
-    return merge_signed(report.theta_star)
+    form, floor = residual_problem(
+        _split_design(data.inputs, signed_order), data.targets, cfg.method in _REJECTION_FIRST
+    )
+    return merge_signed(_solve_design(form, floor, cfg).theta_star)
+
+
+def _split_design(xs, order: int) -> np.ndarray:
+    """Design rows [phi(x), -phi(x)] of the signed split, shape (N, 2 order)."""
+    half = design_matrix(xs, order)
+    return np.concatenate([half, -half], axis=1)
