@@ -8,7 +8,6 @@ round ``i`` always consumes the substream ``default_rng([seed, i])``.
 
 from __future__ import annotations
 
-from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -131,39 +130,12 @@ def residual_problem(
 ) -> tuple[ResidualForm, float | None]:
     """The residual form of one solve, and the RS envelope floor if a rejection pass needs it.
 
-    Build both once per solve and pass them to every round. The design may
-    be dropped afterwards: neither holds on to it.
+    Build both once per solve and pass them to every round. Callers pass the
+    design straight in, so no solve frame binds the N x K array: neither
+    result holds it, and a failed solve's traceback then cannot keep it alive.
     """
     floor = min_rss(design, targets) if rejection else None
     return ResidualForm(design, targets), floor
-
-
-def _accepted_chunks(
-    form: ResidualForm,
-    floor: float,
-    prior: DirichletParams,
-    budget: float,
-    max_proposals: int,
-    rng: np.random.Generator,
-) -> Iterator[tuple[np.ndarray, int]]:
-    """Propose and test in chunks until ``max_proposals`` is spent.
-
-    Yields (accepted rows, proposals) per chunk. A chunk's arrays stay alive
-    until the next chunk replaces them, and the generator has finished once
-    the cap is spent, so a caller that runs out of proposals holds none of
-    them.
-    """
-    n_proposed = 0
-    while n_proposed < max_proposals:
-        m = min(_CHUNK, max_proposals - n_proposed)
-        draws = sample_batch(prior, rng, m)
-        gap = form.rss(budget * draws) - floor
-        if np.any(np.isnan(gap)):
-            raise BalsonError("non-finite residual during rejection sampling")
-        accept_prob = np.exp(-0.5 * np.maximum(gap, 0.0))
-        accepted = rng.random(m) <= accept_prob
-        n_proposed += m
-        yield draws[accepted], m
 
 
 def _rejection(
@@ -178,24 +150,36 @@ def _rejection(
     kept = []
     n_kept = 0
     n_proposed = 0
-    for rows, m in _accepted_chunks(form, floor, prior, budget, cfg.max_proposals, rng):
-        kept.append(rows)
-        n_kept += rows.shape[0]
+    n_accepted = 0
+    while n_kept < want:
+        remaining_budget = cfg.max_proposals - n_proposed
+        if remaining_budget <= 0:
+            # The traceback keeps this frame; drop the last chunk's arrays
+            # (max_proposals >= sample_count, so at least one was drawn).
+            del draws, gap, accept_prob, accepted
+            raise RejectionBudgetError(
+                f"rejection budget exceeded: {n_proposed} proposals "
+                f"yielded {n_accepted} acceptances (need {want})"
+            )
+        m = min(_CHUNK, remaining_budget)
+        draws = sample_batch(prior, rng, m)
+        gap = form.rss(budget * draws) - floor
+        if np.any(np.isnan(gap)):
+            raise BalsonError("non-finite residual during rejection sampling")
+        accept_prob = np.exp(-0.5 * np.maximum(gap, 0.0))
+        accepted = rng.random(m) <= accept_prob
         n_proposed += m
-        if n_kept >= want:
-            break
-    else:
-        raise RejectionBudgetError(
-            f"rejection budget exceeded: {n_proposed} proposals "
-            f"yielded {n_kept} acceptances (need {want})"
-        )
+        n_accepted += int(accepted.sum())
+        if accepted.any():
+            kept.append(draws[accepted])
+            n_kept += int(accepted.sum())
     samples = np.concatenate(kept)[:want]
     weights = np.full(want, 1.0 / want)
     return WeightedSampleSet(
         samples=samples,
         weights=weights,
         ess=float(want),
-        acceptance_rate=n_kept / n_proposed,
+        acceptance_rate=n_accepted / n_proposed,
     )
 
 

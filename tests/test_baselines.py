@@ -17,10 +17,10 @@ from balson import (
     BaselineConfig,
     Dataset,
     IpParams,
-    LassoParams,
     ModelSpec,
     design_matrix,
     ip_fit,
+    lasso_coordinate_descent,
     lasso_fit,
 )
 from balson.bench import config_from_mapping
@@ -83,12 +83,17 @@ class TestLasso:
         np.testing.assert_allclose(lasso_fit(data, spec, TIGHT), free, atol=1e-6)
         np.testing.assert_allclose(lasso_fit(data, spec, BaselineConfig()), free, atol=1e-4)
 
-    def test_lasso_params_are_ignored(self):
-        data = dataset((0.8, -1.5), 100, 5)
-        spec = ModelSpec(2, 1.0)
-        plain = lasso_fit(data, spec, BaselineConfig())
-        legacy = lasso_fit(data, spec, BaselineConfig(lasso=LassoParams(max_bisections=3)))
-        np.testing.assert_array_equal(plain, legacy)
+    @pytest.mark.parametrize("theta, seed, share", [((0.8, -1.5), 1, 0.3), ((0.6, -0.9, 1.2), 2, 0.1)])
+    def test_penalised_form_at_its_own_budget(self, theta, seed, share):
+        # The penalised solution at lam is the constrained one at C = ||theta_lam||_1.
+        data = dataset(theta, 200, seed)
+        design = design_matrix(data.inputs, len(theta))
+        lam = share * 2.0 * float(np.abs(design.T @ data.targets).max())
+        penalised = lasso_coordinate_descent(design, data.targets, lam)
+        budget = float(np.abs(penalised).sum())
+        assert 0.0 < budget < np.abs(np.linalg.lstsq(design, data.targets, rcond=None)[0]).sum()
+        fitted = lasso_fit(data, ModelSpec(len(theta), budget), TIGHT)
+        np.testing.assert_allclose(fitted, penalised, atol=1e-6)
 
 
 class TestIp:
@@ -124,7 +129,6 @@ class TestConfigFromMapping:
     def test_lasso_key_is_deprecated_but_loads(self):
         with pytest.warns(DeprecationWarning, match="lasso"):
             cfg = config_from_mapping({"baselines": {"lasso": {"max_bisections": 3}, "ip": {"mu0": 2.0}}})
-        assert cfg.baselines.lasso == LassoParams(max_bisections=3)
         assert cfg.baselines.ip.mu0 == 2.0
 
     def test_no_warning_without_lasso_key(self, recwarn):
