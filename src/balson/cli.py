@@ -106,6 +106,7 @@ def _report_payload(report: FitReport, args) -> dict:
             "method": diag.method,
             "prior_alpha": list(diag.prior_alpha),
             "acceptance_rate": diag.acceptance_rate,
+            "proposals": diag.proposals,
             "ess_per_round": list(diag.ess_per_round),
             "alpha0_trajectory": list(diag.alpha0_trajectory),
             "mean_fallback": diag.mean_fallback,

@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .baselines import IpParams, _barrier_qp
 from .dirichlet import DirichletParams, match_moments_per_dim, sample_batch
 from .exceptions import BalsonError, DegenerateWeightsError, RejectionBudgetError
 from .model import Dataset, ModelSpec, ResidualForm, design_matrix
@@ -46,12 +47,17 @@ class SamplerConfig:
 
 @dataclass(frozen=True)
 class WeightedSampleSet:
-    """L simplex samples with normalized weights and degeneracy diagnostics."""
+    """L simplex samples with normalized weights and degeneracy diagnostics.
+
+    ``proposals`` counts the draws the pass made to produce them; it defaults
+    to L, one draw per sample, as in importance sampling.
+    """
 
     samples: np.ndarray  # (L, K), each row on the simplex
     weights: np.ndarray  # (L,), nonnegative, sums to 1
     ess: float
     acceptance_rate: float
+    proposals: int | None = None
 
     def __post_init__(self):
         s = np.asarray(self.samples, dtype=np.float64)
@@ -69,6 +75,10 @@ class WeightedSampleSet:
         object.__setattr__(self, "ess", float(min(max(self.ess, 1.0), s.shape[0])))
         if not (0.0 <= self.acceptance_rate <= 1.0):
             raise ValueError("acceptance_rate must lie in [0, 1]")
+        if self.proposals is None:
+            object.__setattr__(self, "proposals", s.shape[0])
+        if self.proposals < s.shape[0]:
+            raise ValueError("proposals must be at least the sample count")
 
     def __len__(self):
         return self.samples.shape[0]
@@ -82,6 +92,7 @@ class RoundRecord:
     kind: str  # "rs" or "is"
     ess: float
     acceptance_rate: float
+    proposals: int
     alpha: np.ndarray = field(repr=False)
 
 
@@ -90,20 +101,56 @@ def round_rng(seed: int, round_index: int) -> np.random.Generator:
     return np.random.default_rng([seed, round_index])
 
 
-def min_rss(design: np.ndarray, targets: np.ndarray) -> float:
-    """Unconstrained least-squares residual floor (minimum-norm on rank deficiency)."""
-    if targets.shape[0] == 0:
-        return 0.0
-    theta, *_ = np.linalg.lstsq(design, targets, rcond=None)
-    resid = targets - design @ theta
-    return max(float(resid @ resid), 0.0)
+def min_rss(form: ResidualForm, budget: float) -> float:
+    """Certified lower bound on RSS(theta) over the scaled simplex {theta >= 0, sum theta = C}.
+
+    This is the RS envelope floor. The barrier core minimises RSS over the
+    simplex in the coordinates theta = C e_K + A phi with A = [I; -1'], whose
+    feasible set {phi >= 0, sum phi <= C} is the core's own. At its answer
+    theta_hat, with g = grad RSS(theta_hat), convexity gives for every simplex
+    point RSS(theta) >= RSS(theta_hat) - g'theta_hat + C min_i g_i, the
+    Frank-Wolfe bound (Frank & Wolfe 1956). The bound holds for any theta_hat,
+    so the floor is valid however far the barrier stopped from the optimum,
+    and it equals the minimum when theta_hat is the minimiser. Near the
+    optimum the barrier's Newton system can turn numerically singular when
+    the Gram is singular, as in the signed split; theta_hat is then the
+    barrier's last iterate.
+    """
+    k = form.gram.shape[0]
+    lift = np.vstack([np.eye(k - 1), -np.ones(k - 1)])
+    corner = np.zeros(k)
+    corner[-1] = budget
+    iterates: list[np.ndarray] = []
+    try:
+        _barrier_qp(
+            lift.T @ form.gram @ lift,
+            lift.T @ (form.xty - form.gram @ corner),
+            form.rss(corner),
+            budget,
+            IpParams(),
+            iterates,
+        )
+    except BalsonError:
+        pass  # the last feasible iterate still certifies a floor
+    theta = corner + lift @ iterates[-1]
+    grad = 2.0 * (form.gram @ theta - form.xty)
+    return max(form.rss(theta) - float(grad @ theta) + budget * float(grad.min()), 0.0)
 
 
 def rss_lower_bound(data: Dataset, order: int) -> float:
-    """Floor of ||y - Phi theta||^2 over all real theta; dominates RSS(C omega)."""
+    """Floor of ||y - Phi theta||^2 over all real theta; dominates RSS(C omega).
+
+    The unconstrained least-squares RSS (minimum-norm on rank deficiency).
+    Rejection sampling uses the tighter simplex floor :func:`min_rss` instead.
+    """
     if order < 1:
         raise ValueError("order must be >= 1")
-    return min_rss(design_matrix(data.inputs, order), data.targets)
+    if len(data) == 0:
+        return 0.0
+    design = design_matrix(data.inputs, order)
+    theta, *_ = np.linalg.lstsq(design, data.targets, rcond=None)
+    resid = data.targets - design @ theta
+    return max(float(resid @ resid), 0.0)
 
 
 def normalize_log_weights(log_weights: np.ndarray) -> tuple[np.ndarray, float]:
@@ -126,16 +173,18 @@ def normalize_log_weights(log_weights: np.ndarray) -> tuple[np.ndarray, float]:
 
 
 def residual_problem(
-    design: np.ndarray, targets: np.ndarray, rejection: bool
+    design: np.ndarray, targets: np.ndarray, budget: float | None
 ) -> tuple[ResidualForm, float | None]:
-    """The residual form of one solve, and the RS envelope floor if a rejection pass needs it.
+    """The residual form of one solve, and the RS envelope floor at ``budget``.
 
-    Build both once per solve and pass them to every round. Callers pass the
-    design straight in, so no solve frame binds the N x K array: neither
-    result holds it, and a failed solve's traceback then cannot keep it alive.
+    Pass ``budget=None`` when no rejection pass runs, and no floor is taken.
+    Build both once per solve and pass them to every round. The floor comes
+    from the form's statistics, and callers pass the design straight in, so
+    no solve frame binds the N x K array: neither result holds it, and a
+    failed solve's traceback then cannot keep it alive.
     """
-    floor = min_rss(design, targets) if rejection else None
-    return ResidualForm(design, targets), floor
+    form = ResidualForm(design, targets)
+    return form, (None if budget is None else min_rss(form, budget))
 
 
 def _rejection(
@@ -180,6 +229,7 @@ def _rejection(
         weights=weights,
         ess=float(want),
         acceptance_rate=n_accepted / n_proposed,
+        proposals=n_proposed,
     )
 
 
@@ -208,16 +258,20 @@ def rejection_sample(
     """Draw L posterior samples by rejection from the Dirichlet prior.
 
     A proposal omega is kept with probability exp(-(RSS(C omega) - floor)/2),
-    where the floor is the unconstrained least-squares RSS, so the envelope
-    dominates the likelihood everywhere and every acceptance probability lies
-    in (0, 1]. Raises :class:`RejectionBudgetError` if ``max_proposals`` runs
-    out first.
+    where the floor is :func:`min_rss`, a certified lower bound on RSS over
+    the scaled simplex. The envelope therefore dominates the likelihood on
+    the whole proposal support, every acceptance probability lies in (0, 1],
+    and the kept draws are exact posterior draws; the tighter the floor, the
+    fewer proposals they cost. Raises :class:`RejectionBudgetError` if
+    ``max_proposals`` runs out first.
     """
     if len(prior) != spec.order:
         raise ValueError("prior dimension must equal the model order")
     if rng is None:
         rng = round_rng(cfg.seed, 0)
-    form, floor = residual_problem(design_matrix(data.inputs, spec.order), data.targets, True)
+    form, floor = residual_problem(
+        design_matrix(data.inputs, spec.order), data.targets, spec.scale
+    )
     return _rejection(form, floor, prior, spec.scale, cfg, rng)
 
 
@@ -239,7 +293,7 @@ def importance_sample(
         raise ValueError("prior dimension must equal the model order")
     if rng is None:
         rng = round_rng(cfg.seed, 0)
-    form, _ = residual_problem(design_matrix(data.inputs, spec.order), data.targets, False)
+    form, _ = residual_problem(design_matrix(data.inputs, spec.order), data.targets, None)
     return _importance(form, prior, spec.scale, cfg, rng)
 
 
@@ -285,6 +339,7 @@ def _iterated(
                     kind=kind,
                     ess=batch.ess,
                     acceptance_rate=batch.acceptance_rate,
+                    proposals=batch.proposals,
                     alpha=alpha.alpha.copy(),
                 )
             )
@@ -307,7 +362,9 @@ def rsirs(
     """
     if len(prior) != spec.order:
         raise ValueError("prior dimension must equal the model order")
-    form, floor = residual_problem(design_matrix(data.inputs, spec.order), data.targets, True)
+    form, floor = residual_problem(
+        design_matrix(data.inputs, spec.order), data.targets, spec.scale
+    )
     return _iterated(form, floor, prior, spec.scale, cfg, "rs", trace)
 
 
@@ -321,5 +378,5 @@ def isirs(
     """Same refinement loop as :func:`rsirs` but round 0 is an importance pass."""
     if len(prior) != spec.order:
         raise ValueError("prior dimension must equal the model order")
-    form, _ = residual_problem(design_matrix(data.inputs, spec.order), data.targets, False)
+    form, _ = residual_problem(design_matrix(data.inputs, spec.order), data.targets, None)
     return _iterated(form, None, prior, spec.scale, cfg, "is", trace)

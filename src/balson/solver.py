@@ -68,6 +68,7 @@ class SolveDiagnostics:
     seed: int
     prior_alpha: tuple[float, ...]
     acceptance_rate: float
+    proposals: int  # draws made in round 0: RS proposals, or L for IS
     ess_per_round: tuple[float, ...]
     alpha0_trajectory: tuple[float, ...]
     mean_fallback: bool
@@ -98,7 +99,14 @@ def _solve_design(form: ResidualForm, floor: float | None, cfg: BalsonConfig) ->
         mean, variance = weighted_moments(batch)
         alpha_star = match_moments_per_dim(mean, variance)
         trace.append(
-            RoundRecord(0, cfg.method.lower(), batch.ess, batch.acceptance_rate, alpha_star.alpha)
+            RoundRecord(
+                0,
+                cfg.method.lower(),
+                batch.ess,
+                batch.acceptance_rate,
+                batch.proposals,
+                alpha_star.alpha,
+            )
         )
     else:
         first = "rs" if cfg.method == "RSIRS" else "is"
@@ -117,6 +125,7 @@ def _solve_design(form: ResidualForm, floor: float | None, cfg: BalsonConfig) ->
         seed=cfg.sampler.seed,
         prior_alpha=tuple(float(a) for a in cfg.prior.alpha),
         acceptance_rate=trace[0].acceptance_rate,
+        proposals=trace[0].proposals,
         ess_per_round=tuple(r.ess for r in trace),
         alpha0_trajectory=tuple(float(r.alpha.sum()) for r in trace),
         mean_fallback=fallback,
@@ -135,7 +144,7 @@ def solve(data: Dataset, cfg: BalsonConfig) -> FitReport:
     if len(cfg.prior) != cfg.spec.order:
         raise ValueError("prior dimension must equal the model order")
     form, floor = residual_problem(
-        design_matrix(data.inputs, cfg.spec.order), data.targets, cfg.method in _REJECTION_FIRST
+        design_matrix(data.inputs, cfg.spec.order), data.targets, _floor_budget(cfg)
     )
     return _solve_design(form, floor, cfg)
 
@@ -151,9 +160,14 @@ def solve_signed(data: Dataset, cfg: BalsonConfig) -> np.ndarray:
     if len(cfg.prior) != 2 * signed_order:
         raise ValueError("prior dimension must be twice the signed order")
     form, floor = residual_problem(
-        _split_design(data.inputs, signed_order), data.targets, cfg.method in _REJECTION_FIRST
+        _split_design(data.inputs, signed_order), data.targets, _floor_budget(cfg)
     )
     return merge_signed(_solve_design(form, floor, cfg).theta_star)
+
+
+def _floor_budget(cfg: BalsonConfig) -> float | None:
+    """The budget to take the RS floor at, or None when the scheme starts with IS."""
+    return cfg.spec.scale if cfg.method in _REJECTION_FIRST else None
 
 
 def _split_design(xs, order: int) -> np.ndarray:

@@ -33,6 +33,7 @@ def test_success(csv_path, tmp_path):
     assert cli.main(fit_args(csv_path, tmp_path)) == cli.EXIT_OK
     report = json.loads((tmp_path / "report.json").read_text())
     assert len(report["theta_star"]) == 2
+    assert report["diagnostics"]["proposals"] == 200  # IS draws L = 200
 
 
 @pytest.mark.parametrize(

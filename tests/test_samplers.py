@@ -1,8 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.optimize import minimize
 
 from balson import (
     BalsonError,
+    BaselineConfig,
     Dataset,
     DegenerateWeightsError,
     DirichletParams,
@@ -13,6 +17,7 @@ from balson import (
     design_matrix,
     importance_sample,
     isirs,
+    lasso_fit,
     match_moments_per_dim,
     moments,
     normalize_log_weights,
@@ -22,7 +27,8 @@ from balson import (
     uniform_prior,
     weighted_moments,
 )
-from balson.samplers import round_rng
+from balson.model import ResidualForm
+from balson.samplers import min_rss, round_rng
 from conftest import quadrature_posterior_k2, weighted_se_mean
 
 EMPTY = Dataset(np.array([]), np.array([]))
@@ -93,6 +99,69 @@ class TestRssLowerBound:
             omega = raw / raw.sum()
             resid = data.targets - design @ omega
             assert resid @ resid >= floor - 1e-9
+
+
+class TestMinRss:
+    """The RS floor: a lower bound on RSS over the scaled simplex, tight at its minimum."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        k=st.integers(2, 6),
+        n=st.integers(0, 30),
+        budget=st.floats(0.1, 10.0),
+        split=st.booleans(),
+        target_scale=st.floats(0.01, 100.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_dominates_simplex_residuals(self, k, n, budget, split, target_scale, seed):
+        rng = np.random.default_rng(seed)
+        if split:
+            # [X, -X]: the Gram is singular, as in the signed reduction
+            half = rng.standard_normal((n, k // 2))
+            design = np.hstack([half, -half, rng.standard_normal((n, k % 2))])
+        else:
+            design = rng.standard_normal((n, k))
+        targets = target_scale * rng.standard_normal(n)
+        form = ResidualForm(design, targets)
+        floor = min_rss(form, budget)
+        points = np.vstack([np.eye(k), rng.dirichlet(np.full(k, 0.5), 200)])
+        slack = 1e-9 * max(1.0, float(targets @ targets))
+        assert np.all(floor <= form.rss(budget * points) + slack)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_tight_on_the_simplex(self, seed):
+        data = noisy_dataset(3, 40, seed=seed, theta=[0.2, 0.1, 0.7])
+        design = design_matrix(data.inputs, 3)
+
+        def rss(theta):
+            resid = data.targets - design @ theta
+            return float(resid @ resid)
+
+        result = minimize(
+            rss,
+            np.full(3, 1.0 / 3.0),
+            jac=lambda theta: -2.0 * design.T @ (data.targets - design @ theta),
+            method="SLSQP",
+            bounds=[(0.0, None)] * 3,
+            constraints=[{"type": "eq", "fun": lambda theta: theta.sum() - 1.0}],
+            options={"ftol": 1e-15, "maxiter": 1000},
+        )
+        assert result.success, result.message
+        floor = min_rss(ResidualForm(design, data.targets), 1.0)
+        assert floor == pytest.approx(result.fun, rel=1e-6)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_split_floor_is_the_l1_ball_minimum(self, seed):
+        # Mass added to both halves of a split pair cancels, so the split
+        # simplex reaches the whole L1 ball and its minimum is LASSO's.
+        xs = np.linspace(-1.0, 1.0, 200)
+        half = design_matrix(xs, 3)
+        noise = 0.05 * np.random.default_rng(seed).standard_normal(200)
+        data = Dataset(xs, half @ np.array([0.8, -1.2, 0.5]) + noise)
+        theta = lasso_fit(data, ModelSpec(3, 1.5), BaselineConfig())
+        resid = data.targets - half @ theta
+        floor = min_rss(ResidualForm(np.hstack([half, -half]), data.targets), 1.5)
+        assert floor == pytest.approx(float(resid @ resid), rel=1e-6)
 
 
 class TestRejectionSampling:

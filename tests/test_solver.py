@@ -1,4 +1,5 @@
-"""The solver's per-solve residual problem and what a failed solve leaves reachable."""
+"""The solver's per-solve residual problem, its RS floor, the signed entry point,
+and what a failed solve leaves reachable."""
 
 import numpy as np
 import pytest
@@ -12,10 +13,12 @@ from balson import (
     design_matrix,
     rejection_sample,
     solve,
+    solve_signed,
     uniform_prior,
 )
 from balson import samplers
-from balson.bench import PAPER_THETA
+from balson.bench import PAPER_THETA, ExperimentConfig, generate_dataset, method_seed
+from balson.exceptions import BalsonError
 from balson.model import ResidualForm, predict
 
 N_BIG = 20_000
@@ -116,3 +119,77 @@ class TestOneResidualProblemPerSolve:
     def test_form_keeps_only_statistics(self):
         form = ResidualForm(design_matrix(np.linspace(0, 1, 50), 3), np.ones(50))
         assert sorted(vars(form)) == ["gram", "xty", "yty"]
+
+
+class TestSimplexFloor:
+    def test_paper_repetition_5_stays_within_budget(self):
+        # With the unconstrained least-squares floor, RS accepted 4.6e-4 of
+        # its proposals here and ran out of all 10^7 of them.
+        train, _, _ = generate_dataset(ExperimentConfig(), 5)
+        cfg = BalsonConfig(
+            "RS",
+            uniform_prior(5),
+            ModelSpec(5, 1.0),
+            SamplerConfig(seed=method_seed(0, 5, "BALSON-RS")),
+        )
+        assert solve(train, cfg).diagnostics.acceptance_rate >= 1e-2
+
+    def test_floor_survives_a_failed_barrier(self, monkeypatch):
+        # The Frank-Wolfe certificate holds at any point, so a barrier that
+        # stops on its first iterate still yields a valid, looser floor.
+        def failing(gram, xty, yty, budget, params, trace):
+            trace.append(np.full(gram.shape[0], budget / (2.0 * gram.shape[0])))
+            raise BalsonError("newton failure")
+
+        data = paper_like(100)
+        form = ResidualForm(design_matrix(data.inputs, 5), data.targets)
+        tight = samplers.min_rss(form, 1.0)
+        monkeypatch.setattr(samplers, "_barrier_qp", failing)
+        loose = samplers.min_rss(form, 1.0)
+        points = np.vstack([np.eye(5), np.random.default_rng(0).dirichlet(np.ones(5), 500)])
+        assert loose <= tight <= form.rss(points).min()
+
+
+class TestProposals:
+    @pytest.mark.parametrize("method", ["RS", "RSIRS"])
+    def test_rejection_counts(self, method):
+        diag = solve(paper_like(100), config(method, sample_count=200)).diagnostics
+        accepted = diag.acceptance_rate * diag.proposals
+        assert accepted == pytest.approx(round(accepted), abs=1e-6)
+        assert diag.proposals >= round(accepted) >= 200
+
+    @pytest.mark.parametrize("method", ["IS", "ISIRS"])
+    def test_importance_draws_l(self, method):
+        diag = solve(paper_like(100), config(method, sample_count=200)).diagnostics
+        assert diag.proposals == 200
+        assert diag.acceptance_rate == 1.0
+
+
+class TestSolveSigned:
+    THETA = (0.6, -0.3)
+    BUDGET = 1.0
+
+    @pytest.fixture(scope="class")
+    def data(self):
+        xs = np.linspace(-1.0, 1.0, 200)
+        noise = np.random.default_rng(0).standard_normal(200)
+        return Dataset(xs, predict(np.asarray(self.THETA), xs) + noise)
+
+    @pytest.mark.parametrize("method", ["RS", "IS", "RSIRS", "ISIRS"])
+    def test_budget_and_determinism(self, data, method):
+        cfg = BalsonConfig(
+            method,
+            uniform_prior(4),
+            ModelSpec(2, self.BUDGET),
+            SamplerConfig(sample_count=1000, seed=7),
+        )
+        theta = solve_signed(data, cfg)
+        assert theta.shape == (2,)
+        assert np.abs(theta).sum() <= self.BUDGET * (1.0 + 1e-9)
+        assert theta[0] > 0.0 > theta[1]  # the signs of the truth
+        np.testing.assert_array_equal(solve_signed(data, cfg), theta)
+
+    def test_prior_must_cover_the_split(self, data):
+        cfg = BalsonConfig("IS", uniform_prior(2), ModelSpec(2, self.BUDGET), SamplerConfig())
+        with pytest.raises(ValueError, match="twice the signed order"):
+            solve_signed(data, cfg)
