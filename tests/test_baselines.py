@@ -14,16 +14,20 @@ import pytest
 from scipy.optimize import minimize
 
 from balson import (
+    BalsonError,
     BaselineConfig,
     Dataset,
+    GibbsParams,
     IpParams,
     ModelSpec,
+    bayesian_lasso_fit,
     design_matrix,
     ip_fit,
     lasso_coordinate_descent,
     lasso_fit,
+    predict,
 )
-from balson.bench import config_from_mapping
+from balson.bench import ExperimentConfig, config_from_mapping, generate_dataset, method_seed
 
 TIGHT = BaselineConfig(ip=IpParams(newton_tol=1e-14))
 
@@ -134,3 +138,120 @@ class TestConfigFromMapping:
     def test_no_warning_without_lasso_key(self, recwarn):
         config_from_mapping({"baselines": {"ip": {"mu0": 2.0}}})
         assert not [w for w in recwarn if issubclass(w.category, DeprecationWarning)]
+
+
+def reference_bayesian_lasso(data, spec, params, rng):
+    """The Gibbs loop in plain numpy: Cholesky, three general solves, one array wald draw."""
+    design = design_matrix(data.inputs, spec.order)
+    gram = design.T @ design
+    corr = design.T @ data.targets
+    k = spec.order
+    tau_sq, lam_sq, total = np.ones(k), 1.0, np.zeros(k)
+    for it in range(params.iterations):
+        chol = np.linalg.cholesky(gram + np.diag(1.0 / tau_sq))
+        mean = np.linalg.solve(chol.T, np.linalg.solve(chol, corr))
+        beta = mean + np.linalg.solve(chol.T, rng.standard_normal(k))
+        inv_tau_sq = rng.wald(np.sqrt(lam_sq) / np.maximum(np.abs(beta), 1e-12), lam_sq)
+        tau_sq = np.clip(1.0 / inv_tau_sq, 1e-10, 1e10)
+        lam_sq = rng.gamma(k + params.hyper_shape, 1.0 / (params.hyper_rate + 0.5 * float(tau_sq.sum())))
+        if it >= params.burn_in:
+            total += beta
+    return total / (params.iterations - params.burn_in)
+
+
+def paper_problem(repetition):
+    """A paper bench problem at the defaults, with its Bayesian-LASSO seed at base seed 0."""
+    cfg = ExperimentConfig()
+    train, _, _ = generate_dataset(cfg, repetition)
+    return train, ModelSpec(cfg.order, cfg.budget), method_seed(0, repetition, "BayesianLASSO")
+
+
+def signed_problem():
+    """K = 10 sparse mixed-sign coefficients on 1000 points of [-1, 1]."""
+    theta = np.array([0.0, 0.5, 0.0, -0.3, 0.0, 0.0, 0.0, 0.0, 0.15, 0.0])
+    xs = np.linspace(-1.0, 1.0, 1000)
+    return Dataset(xs, predict(theta, xs) + np.random.default_rng([0]).standard_normal(xs.shape[0]))
+
+
+SHORT_CHAIN = GibbsParams(iterations=1500, burn_in=300)
+
+
+class TestBayesianLasso:
+    @staticmethod
+    def assert_matches_reference(data, spec, seed, params):
+        # Triangular solves replace general ones, so the bits may differ; the
+        # random stream is the same, so the chains agree to rounding.
+        fitted = bayesian_lasso_fit(data, spec, BaselineConfig(gibbs=params), np.random.default_rng([seed]))
+        expected = reference_bayesian_lasso(data, spec, params, np.random.default_rng([seed]))
+        np.testing.assert_allclose(fitted, expected, rtol=0.0, atol=1e-12)
+
+    def test_matches_reference_k2(self):
+        self.assert_matches_reference(dataset((0.8, -1.5), 200, 1), ModelSpec(2, 1.0), 5, SHORT_CHAIN)
+
+    def test_matches_reference_paper_full_chain(self):
+        data, spec, seed = paper_problem(0)
+        self.assert_matches_reference(data, spec, seed, GibbsParams())
+
+    def test_matches_reference_signed_k10(self):
+        self.assert_matches_reference(signed_problem(), ModelSpec(10, 1.0), 11, SHORT_CHAIN)
+
+    def test_same_seed_same_bits(self):
+        data, spec, seed = paper_problem(3)
+        cfg = BaselineConfig(gibbs=SHORT_CHAIN)
+        first = bayesian_lasso_fit(data, spec, cfg, np.random.default_rng([seed]))
+        second = bayesian_lasso_fit(data, spec, cfg, np.random.default_rng([seed]))
+        assert first.tobytes() == second.tobytes()
+
+    def test_default_generator_uses_params_seed(self):
+        data, spec, _ = paper_problem(1)
+        cfg = BaselineConfig(gibbs=GibbsParams(iterations=500, burn_in=100, seed=7))
+        explicit = bayesian_lasso_fit(data, spec, cfg, np.random.default_rng([7]))
+        assert bayesian_lasso_fit(data, spec, cfg).tobytes() == explicit.tobytes()
+        other = bayesian_lasso_fit(data, spec, cfg, np.random.default_rng([8]))
+        assert not np.array_equal(other, explicit)
+
+    def test_overflowing_basis_raises(self):
+        xs = np.linspace(0.0, 1.0, 20)
+        xs[3] = 1e100
+        data = Dataset(xs, np.ones(20))
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(BalsonError, match="non-finite"):
+                bayesian_lasso_fit(data, ModelSpec(5, 1.0), BaselineConfig(gibbs=SHORT_CHAIN))
+
+    def test_indefinite_precision_raises(self):
+        # A finite Gram with entries near 1e160 swamps the unit prior precision.
+        xs = np.linspace(0.0, 1.0, 20)
+        xs[3] = 1e20
+        data = Dataset(xs, np.ones(20))
+        with pytest.raises(BalsonError, match="singular conditional covariance at iteration 0"):
+            bayesian_lasso_fit(data, ModelSpec(5, 1.0), BaselineConfig(gibbs=SHORT_CHAIN))
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"iterations": 100, "burn_in": 100},
+            {"iterations": 10, "burn_in": 20},
+            {"hyper_shape": 0.0},
+            {"hyper_rate": -1.0},
+        ],
+    )
+    def test_invalid_params(self, kwargs):
+        with pytest.raises(ValueError):
+            GibbsParams(**kwargs)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 17, 12345])
+def test_scalar_wald_draws_consume_the_stream_like_one_array_draw(seed):
+    # bayesian_lasso_fit draws its K inverse-Gaussian values one at a time;
+    # its chain is the array draw's only while this holds.
+    params = np.random.default_rng([seed, 99])
+    for k in range(1, 21):
+        # Means over 18 decades: the sampler's sqrt(lam_sq) / max(|beta|, 1e-12) can span that.
+        means = 10.0 ** params.uniform(-6.0, 12.0, size=k)
+        scale = float(params.gamma(1.0, 2.0)) + 1e-6
+        array_rng = np.random.default_rng([seed, k])
+        scalar_rng = np.random.default_rng([seed, k])
+        drawn = array_rng.wald(means, scale)
+        one_by_one = np.array([scalar_rng.wald(m, scale) for m in means.tolist()])
+        assert drawn.tobytes() == one_by_one.tobytes()
+        assert array_rng.bit_generator.state == scalar_rng.bit_generator.state
