@@ -206,6 +206,10 @@ def _barrier_qp(
     theta = np.full(k, budget / (2.0 * k))
     if trace is not None:
         trace.append(theta.copy())
+    # Checked after the first iterate is traced, so that min_rss still has a
+    # feasible point to certify a floor from.
+    if not (np.all(np.isfinite(gram)) and np.all(np.isfinite(xty))):
+        raise BalsonError("non-finite Gram or X'y: the design overflows")
 
     def barrier_value(t, mu):
         slack = budget - t.sum()

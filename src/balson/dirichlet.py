@@ -87,26 +87,42 @@ def log_density(params: DirichletParams, point: SimplexVector) -> float:
     return float(terms.sum() - log_norm)
 
 
-def sample_batch(params: DirichletParams, rng: np.random.Generator, count: int) -> np.ndarray:
+def sample_batch(
+    params: DirichletParams, rng: np.random.Generator, count: int, out: np.ndarray | None = None
+) -> np.ndarray:
     """Draw ``count`` simplex points as rows of a (count, K) array.
 
     Independent gamma variates with shapes alpha_i and unit scale,
-    normalized by their row sum.
+    normalized by their row sum. With ``out``, a C-contiguous (count, K)
+    array, the draws are written and normalized there, and ``out`` is
+    returned.
+
+    The flat prior Dir(1, ..., 1) draws unit exponentials instead: Gamma(1)
+    is the unit exponential, and numpy's gamma sampler at shape 1 is its
+    exponential sampler. Both calls yield the same values and leave the
+    generator in the same state, so the flat path is exact, bit for bit,
+    and skips the gamma sampler's broadcast over per-element shapes.
     """
     k = len(params)
-    draws = rng.standard_gamma(params.alpha, size=(count, k))
+    flat = bool(np.all(params.alpha == 1.0))
+
+    def draw(rows, into=None):
+        if flat:
+            return rng.standard_exponential(size=(rows, k), out=into)
+        return rng.standard_gamma(params.alpha, size=(rows, k), out=into)
+
+    draws = draw(count, out)
     totals = draws.sum(axis=1)
     # Only reachable when every concentration is tiny: all gammas underflow.
     for _ in range(100):
         dead = totals == 0.0
         if not dead.any():
             break
-        redraw = rng.standard_gamma(params.alpha, size=(int(dead.sum()), k))
-        draws[dead] = redraw
+        draws[dead] = draw(int(dead.sum()))
         totals = draws.sum(axis=1)
     else:
         raise MomentMatchingError("gamma draws underflowed to zero for every component")
-    return draws / totals[:, None]
+    return np.divide(draws, totals[:, None], out=draws)
 
 
 def sample(params: DirichletParams, rng: np.random.Generator) -> SimplexVector:

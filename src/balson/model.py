@@ -121,14 +121,32 @@ class ResidualForm:
         self.xty = design.T @ targets
         self.yty = float(targets @ targets)
 
-    def rss(self, thetas: np.ndarray) -> np.ndarray:
+    def rss(
+        self,
+        thetas: np.ndarray,
+        out: np.ndarray | None = None,
+        work: tuple[np.ndarray, np.ndarray] | None = None,
+    ) -> np.ndarray:
+        """RSS of each row of ``thetas`` (a float for a single 1-D theta).
+
+        For rows x K ``thetas``, ``out`` (rows,) receives the result and
+        ``work`` = (rows x K, rows) buffers hold theta G and the quadratic
+        term; given both, the call allocates nothing. The buffered and
+        unbuffered results are the same bits.
+        """
         thetas = np.asarray(thetas, dtype=np.float64)
         single = thetas.ndim == 1
         if single:
             thetas = thetas[None, :]
-        quad = np.einsum("ij,ij->i", thetas @ self.gram, thetas)
-        out = np.maximum(self.yty - 2.0 * (thetas @ self.xty) + quad, 0.0)
-        return float(out[0]) if single else out
+        product, quad = (None, None) if work is None else work
+        quad = np.einsum("ij,ij->i", np.matmul(thetas, self.gram, out=product), thetas, out=quad)
+        # y'y - 2 theta'X'y + quad, in place; scaling by -2 is exact.
+        total = np.matmul(thetas, self.xty, out=out)
+        total *= -2.0
+        total += self.yty
+        total += quad
+        np.maximum(total, 0.0, out=total)
+        return float(total[0]) if single else total
 
 
 def log_likelihood(data: Dataset, omega: SimplexVector, spec: ModelSpec) -> float:

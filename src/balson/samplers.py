@@ -4,10 +4,19 @@ Four schemes: rejection sampling, importance sampling, and their iterated
 importance-resampling variants that re-fit the Dirichlet proposal over R
 refinement rounds. All schemes are deterministic given the configured seed;
 round ``i`` always consumes the substream ``default_rng([seed, i])``.
+
+All four are one loop, :func:`_iterated`: RS and IS are its round 0 alone.
+Each pass allocates one :class:`_Workspace` up front, and every RS chunk
+and IS round writes its draws, C omega, theta G and RSS into it, so a pass
+of R rounds makes no per-round rows x K temporaries. A workspace never
+outlives its pass: when a solve fails, the loop releases the workspace
+from every frame of the traceback before raising, so a caught error pins
+no buffer, and the public wrappers return arrays they own.
 """
 
 from __future__ import annotations
 
+import traceback
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -66,9 +75,10 @@ class WeightedSampleSet:
         object.__setattr__(self, "weights", w)
         if s.ndim != 2 or s.shape[1] < 2 or w.shape != (s.shape[0],):
             raise ValueError("samples must be (L, K>=2) with one weight per row")
-        if np.any(s < 0.0) or np.max(np.abs(s.sum(axis=1) - 1.0)) > 1e-12:
+        # One pass over the samples per check: their minimum and their row sums.
+        if s.min() < 0.0 or np.max(np.abs(s @ np.ones(s.shape[1]) - 1.0)) > 1e-12:
             raise ValueError("every sample must lie on the simplex")
-        if np.any(w < 0.0) or abs(float(w.sum()) - 1.0) > 1e-10:
+        if w.min() < 0.0 or abs(float(w.sum()) - 1.0) > 1e-10:
             raise ValueError("weights must be nonnegative and sum to 1")
         if not (1.0 - 1e-9 <= self.ess <= s.shape[0] * (1.0 + 1e-9)):
             raise ValueError("ess must lie in [1, L]")
@@ -94,6 +104,36 @@ class RoundRecord:
     acceptance_rate: float
     proposals: int
     alpha: np.ndarray = field(repr=False)
+
+
+class _Workspace:
+    """The buffers of one sampling pass, reused by each of its RS chunks and IS rounds.
+
+    Three rows x K arrays hold the draws, C omega and theta G, and two
+    vectors of length rows hold the RSS and its quadratic term; the second
+    vector then takes RS's uniforms. A pass of ``m <= rows`` draws uses
+    the first ``m`` rows of each.
+    """
+
+    def __init__(self, rows: int, k: int):
+        self.draws = np.empty((rows, k))
+        self.thetas = np.empty((rows, k))
+        self.product = np.empty((rows, k))
+        self.values = np.empty(rows)
+        self.scratch = np.empty(rows)
+
+    def draw_rss(
+        self,
+        form: ResidualForm,
+        prior: DirichletParams,
+        budget: float,
+        rng: np.random.Generator,
+        m: int,
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Draw ``m`` points from ``prior`` and their RSS at C omega, as views (draws, rss)."""
+        draws = sample_batch(prior, rng, m, out=self.draws[:m])
+        thetas = np.multiply(draws, budget, out=self.thetas[:m])
+        return draws, form.rss(thetas, out=self.values[:m], work=(self.product[:m], self.scratch[:m]))
 
 
 def round_rng(seed: int, round_index: int) -> np.random.Generator:
@@ -194,8 +234,11 @@ def _rejection(
     budget: float,
     cfg: SamplerConfig,
     rng: np.random.Generator,
+    ws: _Workspace | None = None,
 ) -> WeightedSampleSet:
     want = cfg.sample_count
+    if ws is None:
+        ws = _Workspace(min(_CHUNK, cfg.max_proposals), len(prior))
     kept = []
     n_kept = 0
     n_proposed = 0
@@ -203,26 +246,31 @@ def _rejection(
     while n_kept < want:
         remaining_budget = cfg.max_proposals - n_proposed
         if remaining_budget <= 0:
-            # The traceback keeps this frame; drop the last chunk's arrays
-            # (max_proposals >= sample_count, so at least one was drawn).
-            del draws, gap, accept_prob, accepted
+            # The traceback keeps this frame; drop the workspace and the last
+            # chunk's views of it (max_proposals >= sample_count, so at least
+            # one chunk was drawn).
+            del ws, draws, gap, accepted
             raise RejectionBudgetError(
                 f"rejection budget exceeded: {n_proposed} proposals "
                 f"yielded {n_accepted} acceptances (need {want})"
             )
         m = min(_CHUNK, remaining_budget)
-        draws = sample_batch(prior, rng, m)
-        gap = form.rss(budget * draws) - floor
+        draws, gap = ws.draw_rss(form, prior, budget, rng, m)
+        gap -= floor
         if np.any(np.isnan(gap)):
             raise BalsonError("non-finite residual during rejection sampling")
-        accept_prob = np.exp(-0.5 * np.maximum(gap, 0.0))
-        accepted = rng.random(m) <= accept_prob
+        # Acceptance probability exp(-max(gap, 0) / 2), in place.
+        np.maximum(gap, 0.0, out=gap)
+        gap *= -0.5
+        accepted = rng.random(m, out=ws.scratch[:m]) <= np.exp(gap, out=gap)
         n_proposed += m
         n_accepted += int(accepted.sum())
         if accepted.any():
-            kept.append(draws[accepted])
-            n_kept += int(accepted.sum())
-    samples = np.concatenate(kept)[:want]
+            # Keep copies, and no more than are wanted, so that the samples
+            # neither alias the workspace nor pin a longer array.
+            kept.append(draws[accepted][: want - n_kept])
+            n_kept += kept[-1].shape[0]
+    samples = np.concatenate(kept)
     weights = np.full(want, 1.0 / want)
     return WeightedSampleSet(
         samples=samples,
@@ -239,12 +287,16 @@ def _importance(
     budget: float,
     cfg: SamplerConfig,
     rng: np.random.Generator,
+    ws: _Workspace | None = None,
 ) -> WeightedSampleSet:
-    draws = sample_batch(prior, rng, cfg.sample_count)
-    rss = form.rss(budget * draws)
+    """The samples are views of ``ws``'s draws, valid until its next pass."""
+    if ws is None:
+        ws = _Workspace(cfg.sample_count, len(prior))
+    draws, rss = ws.draw_rss(form, prior, budget, rng, cfg.sample_count)
     if np.any(np.isnan(rss)):
         raise BalsonError("non-finite residual during importance sampling")
-    weights, ess = normalize_log_weights(-0.5 * rss)
+    rss *= -0.5
+    weights, ess = normalize_log_weights(rss)
     return WeightedSampleSet(samples=draws, weights=weights, ess=ess, acceptance_rate=1.0)
 
 
@@ -297,14 +349,20 @@ def importance_sample(
     return _importance(form, prior, spec.scale, cfg, rng)
 
 
-def weighted_moments(sample_set: WeightedSampleSet) -> tuple[np.ndarray, np.ndarray]:
-    """Weighted per-component mean and variance of a sample set."""
+def weighted_moments(
+    sample_set: WeightedSampleSet, work: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Weighted per-component mean and variance of a sample set.
+
+    ``work``, an array of at least L x K, holds the squared deviations.
+    """
     if sample_set.ess <= 1.0:
         raise DegenerateWeightsError("degenerate weights: effective sample size <= 1")
     w = sample_set.weights
     s = sample_set.samples
     mean = w @ s
-    variance = w @ (s - mean) ** 2
+    deviation = np.subtract(s, mean, out=None if work is None else work[: s.shape[0]])
+    variance = w @ np.square(deviation, out=deviation)
     return mean, variance
 
 
@@ -316,21 +374,39 @@ def _iterated(
     cfg: SamplerConfig,
     first: str,
     trace: list[RoundRecord] | None = None,
+    refine: bool = True,
 ) -> DirichletParams:
+    """The sampling loop of all four schemes; returns the last moment-matched fit.
+
+    Round 0 runs ``first`` ("rs" or "is") against ``prior``, and each of the
+    R = ``cfg.resample_rounds`` refinement rounds importance-samples from the
+    previous round's fit. With ``refine=False`` round 0 runs alone, which is
+    the RS or IS scheme, and its errors carry no round prefix.
+    """
+    rows = cfg.sample_count
+    if first == "rs":
+        rows = max(rows, min(_CHUNK, cfg.max_proposals))
+    ws = _Workspace(rows, len(prior))
     alpha = prior
-    for rnd in range(cfg.resample_rounds + 1):
+    for rnd in range(cfg.resample_rounds + 1 if refine else 1):
         rng = round_rng(cfg.seed, rnd)
         kind = first if rnd == 0 else "is"
         try:
             if kind == "rs":
-                batch = _rejection(form, floor, alpha, budget, cfg, rng)
+                batch = _rejection(form, floor, alpha, budget, cfg, rng, ws)
             else:
                 # Proposal and prior are both Dir(alpha), so the weights
                 # reduce to the data likelihood alone.
-                batch = _importance(form, alpha, budget, cfg, rng)
-            mean, variance = weighted_moments(batch)
+                batch = _importance(form, alpha, budget, cfg, rng, ws)
+            mean, variance = weighted_moments(batch, work=ws.product)
             alpha = match_moments_per_dim(mean, variance)
         except BalsonError as err:
+            # The traceback keeps this frame and every frame below it: release
+            # the workspace and the batch's views of it from all of them.
+            ws = batch = None
+            traceback.clear_frames(err.__traceback__)
+            if not refine:
+                raise
             raise type(err)(f"resampling round {rnd}: {err}") from err
         if trace is not None:
             trace.append(

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dirichlet import DirichletParams, SimplexVector, match_moments_per_dim, mode
+from .dirichlet import DirichletParams, SimplexVector, mode
 from .exceptions import ModeUndefinedError
 from .model import (
     Dataset,
@@ -24,17 +24,7 @@ from .model import (
     merge_signed,
     rescale,
 )
-from .samplers import (
-    RoundRecord,
-    SamplerConfig,
-    WeightedSampleSet,
-    _importance,
-    _iterated,
-    _rejection,
-    residual_problem,
-    round_rng,
-    weighted_moments,
-)
+from .samplers import RoundRecord, SamplerConfig, _iterated, residual_problem
 
 METHODS = ("RS", "IS", "RSIRS", "ISIRS")
 # Schemes whose first pass is rejection sampling, which needs the RSS floor.
@@ -90,27 +80,9 @@ def _solve_design(form: ResidualForm, floor: float | None, cfg: BalsonConfig) ->
     started = time.perf_counter()
     budget = cfg.spec.scale
     trace: list[RoundRecord] = []
-    if cfg.method in ("RS", "IS"):
-        rng = round_rng(cfg.sampler.seed, 0)
-        if cfg.method == "RS":
-            batch = _rejection(form, floor, cfg.prior, budget, cfg.sampler, rng)
-        else:
-            batch = _importance(form, cfg.prior, budget, cfg.sampler, rng)
-        mean, variance = weighted_moments(batch)
-        alpha_star = match_moments_per_dim(mean, variance)
-        trace.append(
-            RoundRecord(
-                0,
-                cfg.method.lower(),
-                batch.ess,
-                batch.acceptance_rate,
-                batch.proposals,
-                alpha_star.alpha,
-            )
-        )
-    else:
-        first = "rs" if cfg.method == "RSIRS" else "is"
-        alpha_star = _iterated(form, floor, cfg.prior, budget, cfg.sampler, first, trace)
+    first = "rs" if cfg.method in _REJECTION_FIRST else "is"
+    refine = cfg.method in ("RSIRS", "ISIRS")
+    alpha_star = _iterated(form, floor, cfg.prior, budget, cfg.sampler, first, trace, refine)
     try:
         omega_star = mode(alpha_star)
         fallback = False

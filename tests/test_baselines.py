@@ -9,6 +9,8 @@ sqrt(eps / lambda_min(G)), 1e-5 at the default 1e-8 on these 200-point
 problems. Tests that compare coefficients to 1e-6 therefore tighten it.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 from scipy.optimize import minimize
@@ -98,6 +100,21 @@ class TestLasso:
         assert 0.0 < budget < np.abs(np.linalg.lstsq(design, data.targets, rcond=None)[0]).sum()
         fitted = lasso_fit(data, ModelSpec(len(theta), budget), TIGHT)
         np.testing.assert_allclose(fitted, penalised, atol=1e-6)
+
+
+class TestNonFiniteStatistics:
+    @pytest.mark.parametrize("fit", [ip_fit, lasso_fit])
+    def test_overflowing_basis_raises_up_front(self, fit):
+        xs = np.linspace(0.0, 1.0, 20)
+        xs[3] = 1e100
+        data = Dataset(xs, np.ones(20))
+        # The basis itself overflows. Any other floating-point warning, as from
+        # Newton steps on NaN iterates, fails the test.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with np.errstate(over="ignore"):
+                with pytest.raises(BalsonError, match="non-finite Gram or X'y"):
+                    fit(data, ModelSpec(5, 1.0), BaselineConfig())
 
 
 class TestIp:

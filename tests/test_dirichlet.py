@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from balson import (
     DirichletParams,
@@ -130,6 +132,35 @@ class TestSample:
         dev = (draws - mean) ** 2
         se_var = np.sqrt(dev.var(axis=0) / n)
         assert np.all(np.abs(draws.var(axis=0) - variance) <= 3 * se_var)
+
+
+def broadcast_gamma_draw(rng, count, k):
+    """The flat draw as a Dirichlet through unit-shape gammas, normalised by row sums."""
+    draws = rng.standard_gamma(np.ones(k), size=(count, k))
+    return draws / draws.sum(axis=1)[:, None]
+
+
+class TestFlatPath:
+    """Dir(1, ..., 1) draws unit exponentials, which must equal the unit-shape gamma draw."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(k=st.integers(2, 20), count=st.integers(1, 2000), seed=st.integers(0, 2**63 - 1))
+    def test_same_bits_and_stream_as_the_gamma_draw(self, k, count, seed):
+        fast, reference = np.random.default_rng(seed), np.random.default_rng(seed)
+        draws = sample_batch(DirichletParams(np.ones(k)), fast, count)
+        assert draws.tobytes() == broadcast_gamma_draw(reference, count, k).tobytes()
+        assert fast.bit_generator.state == reference.bit_generator.state
+
+    @pytest.mark.parametrize("alpha", [[1.0] * 6, [0.3, 2.0, 7.5], [1.0, 1.0, 2.0]])
+    def test_out_gives_the_fresh_array_bits(self, alpha):
+        params = DirichletParams(alpha)
+        fresh = sample_batch(params, np.random.default_rng(4), 700)
+        # A view of a longer buffer, as a sampling workspace passes it.
+        buffer = np.full((900, len(alpha)), np.nan)
+        drawn = sample_batch(params, np.random.default_rng(4), 700, out=buffer[:700])
+        assert np.shares_memory(drawn, buffer)
+        assert drawn.tobytes() == fresh.tobytes()
+        assert np.isnan(buffer[700:]).all()
 
 
 class TestMoments:

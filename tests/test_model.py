@@ -202,3 +202,23 @@ class TestResidualForm:
     def test_empty_dataset(self):
         form = ResidualForm(np.empty((0, 3)), np.array([]))
         assert form.rss(np.array([0.2, 0.3, 0.5])) == 0.0
+
+    @pytest.mark.parametrize("split", [False, True])
+    def test_buffers_give_the_unbuffered_bits(self, rng, split):
+        xs = rng.uniform(-1, 1, 200)
+        ys = rng.normal(size=200)
+        half = design_matrix(xs, 5)
+        # The split [X, -X] has a singular Gram, as in the signed reduction.
+        form = ResidualForm(np.hstack([half, -half]) if split else half, ys)
+        k = form.gram.shape[0]
+        thetas = rng.dirichlet(np.ones(k), 300)
+        # Views of longer buffers, as a sampling workspace passes them.
+        out, product, quad = np.empty(400), np.empty((400, k)), np.empty(400)
+        buffered = form.rss(thetas, out=out[:300], work=(product[:300], quad[:300]))
+        assert np.shares_memory(buffered, out)
+        plain = form.rss(thetas)
+        assert buffered.tobytes() == plain.tobytes()
+        # The expression before buffers existed.
+        quad_ref = np.einsum("ij,ij->i", thetas @ form.gram, thetas)
+        reference = np.maximum(form.yty - 2.0 * (thetas @ form.xty) + quad_ref, 0.0)
+        assert plain.tobytes() == reference.tobytes()

@@ -238,6 +238,29 @@ class TestImportanceSampling:
         np.testing.assert_array_equal(a.weights, b.weights)
 
 
+def buffer_of(array):
+    while isinstance(array.base, np.ndarray):
+        array = array.base
+    return array
+
+
+class TestWrappersOwnTheirArrays:
+    """The public wrappers' arrays are no views of a buffer a later pass reuses."""
+
+    @pytest.mark.parametrize("wrapper", [importance_sample, rejection_sample])
+    def test_a_later_call_leaves_earlier_results_alone(self, wrapper):
+        data = noisy_dataset(3, 20, seed=5)
+        spec, prior = ModelSpec(3, 1.0), uniform_prior(3)
+        first = wrapper(data, prior, spec, SamplerConfig(sample_count=500, seed=1))
+        kept = first.samples.copy(), first.weights.copy()
+        second = wrapper(data, prior, spec, SamplerConfig(sample_count=500, seed=2))
+        for mine, theirs, copy in zip((first.samples, first.weights), (second.samples, second.weights), kept):
+            assert not np.shares_memory(mine, theirs)
+            assert mine.tobytes() == copy.tobytes()
+            # Nothing longer than the array itself stays alive behind it.
+            assert buffer_of(mine).nbytes == mine.nbytes
+
+
 class TestWeightedMoments:
     def test_two_corner_samples(self):
         sset = WeightedSampleSet(
@@ -273,6 +296,17 @@ class TestWeightedMoments:
         sset = WeightedSampleSet(np.full((50, 2), 0.5), w, 1.0, 1.0)
         with pytest.raises(DegenerateWeightsError):
             weighted_moments(sset)
+
+    def test_work_buffer_gives_the_same_bits(self, rng):
+        raw = rng.dirichlet([2.0, 3.0, 4.0], size=500)
+        weights = rng.uniform(0.0, 1.0, 500)
+        sset = WeightedSampleSet(raw, weights / weights.sum(), 2.0, 1.0)
+        plain = weighted_moments(sset)
+        buffered = weighted_moments(sset, work=np.empty((600, 3)))
+        for a, b in zip(plain, buffered):
+            assert a.tobytes() == b.tobytes()
+        mean = sset.weights @ raw
+        assert plain[1].tobytes() == (sset.weights @ (raw - mean) ** 2).tobytes()
 
     def test_means_sum_to_one(self):
         data = noisy_dataset(3, 25, seed=41)

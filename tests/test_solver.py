@@ -1,6 +1,8 @@
 """The solver's per-solve residual problem, its RS floor, the signed entry point,
 and what a failed solve leaves reachable."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -18,7 +20,7 @@ from balson import (
 )
 from balson import samplers
 from balson.bench import PAPER_THETA, ExperimentConfig, generate_dataset, method_seed
-from balson.exceptions import BalsonError
+from balson.exceptions import BalsonError, MomentMatchingError
 from balson.model import ResidualForm, predict
 
 N_BIG = 20_000
@@ -45,18 +47,30 @@ def config(method, sample_count=100, resample_rounds=3, max_proposals=None):
     )
 
 
+def buffer_rows(array):
+    """Rows of the buffer that ``array`` keeps alive: its own, or its base's if a view."""
+    while isinstance(array.base, np.ndarray):
+        array = array.base
+    return array.shape[0] if array.ndim > 0 else 0
+
+
 def large_arrays(err, rows):
-    """(frame, name) of every traceback local that is, or is a ResidualForm holding,
-    an ndarray with at least ``rows`` rows; follows the chain of causes."""
+    """(frame, name) of every traceback local that is, or holds as an attribute, an
+    ndarray keeping a buffer of at least ``rows`` rows alive; follows the chain of causes.
+
+    A Dataset's attributes are not searched: it is the caller's input, which
+    the caller keeps alive anyway.
+    """
     found = []
     while err is not None:
         tb = err.__traceback__
         while tb is not None:
             frame = tb.tb_frame
             for name, value in frame.f_locals.items():
-                held = vars(value).items() if isinstance(value, ResidualForm) else [(name, value)]
+                attrs = {} if isinstance(value, Dataset) else getattr(value, "__dict__", {})
+                held = [(name, value), *attrs.items()]
                 for attr, array in held:
-                    if isinstance(array, np.ndarray) and array.ndim > 0 and array.shape[0] >= rows:
+                    if isinstance(array, np.ndarray) and buffer_rows(array) >= rows:
                         found.append((frame.f_code.co_name, attr))
             tb = tb.tb_next
         err = err.__cause__ or err.__context__
@@ -89,6 +103,42 @@ class TestFailedSolvePinsNothing:
             failing(np.zeros((N_BIG, 5)))
         except RejectionBudgetError as err:
             assert large_arrays(err, N_BIG) == [("failing", "design")]
+
+    def test_check_sees_a_pinned_workspace(self):
+        # An object's attributes are searched, and a view counts as its buffer.
+        class Holder:
+            def __init__(self):
+                self.draws = np.zeros((N_BIG, 5))
+
+        def failing(holder, head):
+            raise RejectionBudgetError("0 proposals yielded 0 acceptances")
+
+        holder = Holder()
+        try:
+            failing(holder, holder.draws[:10])
+        except RejectionBudgetError as err:
+            assert large_arrays(err, N_BIG) == [
+                ("test_check_sees_a_pinned_workspace", "draws"),
+                ("failing", "draws"),
+                ("failing", "head"),
+            ]
+
+    @pytest.mark.parametrize("method", ["RSIRS", "ISIRS"])
+    def test_failure_after_round_0(self, monkeypatch, method):
+        # Round 1 fails while its batch still views the workspace's draws.
+        rows = 2_000
+        match, matched = samplers.match_moments_per_dim, []
+
+        def failing_in_round_1(mean, variance):
+            if matched:
+                raise MomentMatchingError("moment matching degenerate: no usable dimension")
+            matched.append(match(mean, variance))
+            return matched[-1]
+
+        monkeypatch.setattr(samplers, "match_moments_per_dim", failing_in_round_1)
+        with pytest.raises(MomentMatchingError, match="resampling round 1:") as info:
+            solve(paper_like(100), config(method, sample_count=rows))
+        assert large_arrays(info.value, rows) == []
 
 
 class TestOneResidualProblemPerSolve:
@@ -163,6 +213,37 @@ class TestProposals:
         diag = solve(paper_like(100), config(method, sample_count=200)).diagnostics
         assert diag.proposals == 200
         assert diag.acceptance_rate == 1.0
+
+
+class TestBackToBack:
+    """Each solve allocates its own sampling workspace, so no solve sees another's state."""
+
+    @pytest.mark.parametrize("method", ["RS", "IS", "RSIRS", "ISIRS"])
+    def test_interleaved_solves_repeat_bit_for_bit(self, method):
+        first_data, other_data = paper_like(100, seed=0), paper_like(300, seed=1)
+        cfg = config(method, sample_count=500)
+        first = solve(first_data, cfg)
+        solve(other_data, config(method, sample_count=700))
+        again = solve(first_data, cfg)
+        assert again.theta_star.theta.tobytes() == first.theta_star.theta.tobytes()
+        assert again.alpha_star.alpha.tobytes() == first.alpha_star.alpha.tobytes()
+        untimed = [dataclasses.replace(r.diagnostics, wall_clock_s=0.0) for r in (first, again)]
+        assert untimed[0] == untimed[1]
+
+
+class TestOverflowingBasis:
+    def test_schemes_raise_non_finite(self):
+        # The RS floor still certifies from the barrier's first iterate, and
+        # every scheme then names the non-finite residual.
+        xs = np.linspace(0.0, 1.0, 20)
+        xs[3] = 1e100
+        data = Dataset(xs, np.ones(20))
+        for method in ("RS", "IS", "RSIRS", "ISIRS"):
+            with np.errstate(over="ignore", invalid="ignore"):
+                with pytest.raises(BalsonError, match="non-finite residual") as info:
+                    solve(data, config(method, sample_count=MAX_PROPOSALS))
+            # The failed pass released its workspace.
+            assert large_arrays(info.value, MAX_PROPOSALS) == []
 
 
 class TestSolveSigned:
