@@ -22,7 +22,7 @@ import numpy as np
 from scipy.linalg.lapack import dpotrf, dtrtrs
 
 from .exceptions import BalsonError
-from .model import Dataset, ModelSpec, ParameterVector, design_matrix, merge_signed
+from .model import Dataset, ModelSpec, ParameterVector, ResidualForm, design_matrix, merge_signed
 
 
 @dataclass(frozen=True)
@@ -142,45 +142,28 @@ def lasso_fit(data: Dataset, spec: ModelSpec, cfg: BaselineConfig) -> np.ndarray
 
     Splitting theta = theta+ - theta- with both parts nonnegative turns the
     L1 ball into {theta+, theta- >= 0, sum <= C} on the design [X, -X], which
-    is the barrier core's problem (Tibshirani 1996). Only the split design's
-    sufficient statistics are formed, [[G, -G], [-G, G]] and [X'y, -X'y] from
-    the K x K Gram G, never [X, -X] itself. The barrier schedule is
+    is the barrier core's problem (Tibshirani 1996). Its statistics come from
+    the split :class:`~balson.model.ResidualForm`, the same one the signed
+    BALSON solve uses, which builds [[G, -G], [-G, G]] and [X'y, -X'y] from
+    the K x K Gram G and never forms [X, -X] itself. The barrier schedule is
     ``cfg.ip``; ``cfg.lasso`` is ignored.
     """
-    design = design_matrix(data.inputs, spec.order)
-    gram = design.T @ design
-    xty = design.T @ data.targets
-    split = _barrier_qp(
-        np.block([[gram, -gram], [-gram, gram]]),
-        np.concatenate([xty, -xty]),
-        float(data.targets @ data.targets),
-        spec.scale,
-        cfg.ip,
-    )
-    return merge_signed(split)
+    form = ResidualForm(design_matrix(data.inputs, spec.order), data.targets, True)
+    return merge_signed(_barrier_qp(form.gram, form.xty, form.yty, spec.scale, cfg.ip))
 
 
-def ip_fit(
-    data: Dataset,
-    spec: ModelSpec,
-    cfg: BaselineConfig,
-    trace: list[np.ndarray] | None = None,
-) -> ParameterVector:
+def ip_fit(data: Dataset, spec: ModelSpec, cfg: BaselineConfig) -> ParameterVector:
     """Log-barrier solve of min RSS(theta) s.t. theta >= 0, sum theta <= C."""
     design = design_matrix(data.inputs, spec.order)
-    return ParameterVector(ip_solve(design, data.targets, spec.scale, cfg.ip, trace))
+    return ParameterVector(ip_solve(design, data.targets, spec.scale, cfg.ip))
 
 
 def ip_solve(
-    design: np.ndarray,
-    targets: np.ndarray,
-    budget: float,
-    params: IpParams,
-    trace: list[np.ndarray] | None = None,
+    design: np.ndarray, targets: np.ndarray, budget: float, params: IpParams
 ) -> np.ndarray:
     """Primal log-barrier method on an explicit design matrix (see :func:`_barrier_qp`)."""
     return _barrier_qp(
-        design.T @ design, design.T @ targets, float(targets @ targets), budget, params, trace
+        design.T @ design, design.T @ targets, float(targets @ targets), budget, params
     )
 
 

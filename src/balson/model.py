@@ -114,11 +114,20 @@ class ResidualForm:
     Precomputes the Gram matrix so each evaluation costs O(K^2) instead of
     O(N K); values are clipped at zero to absorb cancellation. Keeps only the
     sufficient statistics (Gram, X'y, y'y), never the N-row design or targets.
+
+    With ``split`` true the form is that of the signed split design [X, -X],
+    built from the K-column statistics as [[G, -G], [-G, G]] and
+    [X'y, -X'y], so the N x 2K design is never formed.
     """
 
-    def __init__(self, design: np.ndarray, targets: np.ndarray):
-        self.gram = design.T @ design
-        self.xty = design.T @ targets
+    def __init__(self, design: np.ndarray, targets: np.ndarray, split: bool = False):
+        gram = design.T @ design
+        xty = design.T @ targets
+        if split:
+            gram = np.block([[gram, -gram], [-gram, gram]])
+            xty = np.concatenate([xty, -xty])
+        self.gram = gram
+        self.xty = xty
         self.yty = float(targets @ targets)
 
     def rss(

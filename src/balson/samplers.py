@@ -6,9 +6,14 @@ refinement rounds. All schemes are deterministic given the configured seed;
 round ``i`` always consumes the substream ``default_rng([seed, i])``.
 
 All four are one loop, :func:`_iterated`: RS and IS are its round 0 alone.
-Each pass allocates one :class:`_Workspace` up front, and every RS chunk
-and IS round writes its draws, C omega, theta G and RSS into it, so a pass
-of R rounds makes no per-round rows x K temporaries. A workspace never
+Every solve builds one :class:`Problem`, its residual form and budget C, and
+passes it to every round. The RS envelope floor is a lazy property of the
+problem, taken once, on the first rejection pass, so a scheme that starts
+with importance sampling never pays for it.
+
+Each pass allocates one :class:`_Workspace` up front, and every RS chunk and
+IS round writes its draws, C omega, theta G and RSS into it, so a pass of R
+rounds makes no per-round rows x K temporaries. A workspace never
 outlives its pass: when a solve fails, the loop releases the workspace
 from every frame of the traceback before raising, so a caught error pins
 no buffer, and the public wrappers return arrays they own.
@@ -18,6 +23,7 @@ from __future__ import annotations
 
 import traceback
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -75,10 +81,13 @@ class WeightedSampleSet:
         object.__setattr__(self, "weights", w)
         if s.ndim != 2 or s.shape[1] < 2 or w.shape != (s.shape[0],):
             raise ValueError("samples must be (L, K>=2) with one weight per row")
-        # One pass over the samples per check: their minimum and their row sums.
-        if s.min() < 0.0 or np.max(np.abs(s @ np.ones(s.shape[1]) - 1.0)) > 1e-12:
+        # One pass over the samples per check: their minimum and their row
+        # sums. Each check is negated so that a NaN, which compares false,
+        # fails it.
+        deviation = np.max(np.abs(s @ np.ones(s.shape[1]) - 1.0))
+        if not (s.min() >= 0.0) or not (deviation <= 1e-12):
             raise ValueError("every sample must lie on the simplex")
-        if w.min() < 0.0 or abs(float(w.sum()) - 1.0) > 1e-10:
+        if not (w.min() >= 0.0) or not (abs(float(w.sum()) - 1.0) <= 1e-10):
             raise ValueError("weights must be nonnegative and sum to 1")
         if not (1.0 - 1e-9 <= self.ess <= s.shape[0] * (1.0 + 1e-9)):
             raise ValueError("ess must lie in [1, L]")
@@ -123,17 +132,13 @@ class _Workspace:
         self.scratch = np.empty(rows)
 
     def draw_rss(
-        self,
-        form: ResidualForm,
-        prior: DirichletParams,
-        budget: float,
-        rng: np.random.Generator,
-        m: int,
+        self, problem: Problem, prior: DirichletParams, rng: np.random.Generator, m: int
     ) -> tuple[np.ndarray, np.ndarray]:
         """Draw ``m`` points from ``prior`` and their RSS at C omega, as views (draws, rss)."""
         draws = sample_batch(prior, rng, m, out=self.draws[:m])
-        thetas = np.multiply(draws, budget, out=self.thetas[:m])
-        return draws, form.rss(thetas, out=self.values[:m], work=(self.product[:m], self.scratch[:m]))
+        thetas = np.multiply(draws, problem.budget, out=self.thetas[:m])
+        work = (self.product[:m], self.scratch[:m])
+        return draws, problem.form.rss(thetas, out=self.values[:m], work=work)
 
 
 def round_rng(seed: int, round_index: int) -> np.random.Generator:
@@ -212,26 +217,44 @@ def normalize_log_weights(log_weights: np.ndarray) -> tuple[np.ndarray, float]:
     return weights, ess
 
 
-def residual_problem(
-    design: np.ndarray, targets: np.ndarray, budget: float | None
-) -> tuple[ResidualForm, float | None]:
-    """The residual form of one solve, and the RS envelope floor at ``budget``.
+@dataclass(frozen=True)
+class Problem:
+    """One solve's residual form and budget C; every round of the solve shares it.
 
-    Pass ``budget=None`` when no rejection pass runs, and no floor is taken.
-    Build both once per solve and pass them to every round. The floor comes
-    from the form's statistics, and callers pass the design straight in, so
-    no solve frame binds the N x K array: neither result holds it, and a
-    failed solve's traceback then cannot keep it alive.
+    The form holds only the data's sufficient statistics, so no solve frame
+    binds the N x K design, and a failed solve's traceback cannot keep it
+    alive. ``floor``, the RS envelope floor, is taken on first use.
     """
-    form = ResidualForm(design, targets)
-    return form, (None if budget is None else min_rss(form, budget))
+
+    form: ResidualForm
+    budget: float
+
+    @classmethod
+    def of(
+        cls, data: Dataset, prior: DirichletParams, spec: ModelSpec, signed: bool = False
+    ) -> Problem:
+        """The problem of fitting ``data`` at ``spec`` from ``prior``.
+
+        With ``signed`` the form is the split reduction's (see
+        :class:`~balson.model.ResidualForm`), and the prior covers its 2K
+        dimensions.
+        """
+        if signed and len(prior) != 2 * spec.order:
+            raise ValueError("prior dimension must be twice the signed order")
+        if not signed and len(prior) != spec.order:
+            raise ValueError("prior dimension must equal the model order")
+        form = ResidualForm(design_matrix(data.inputs, spec.order), data.targets, signed)
+        return cls(form, spec.scale)
+
+    @cached_property
+    def floor(self) -> float:
+        """The RS envelope floor :func:`min_rss`, computed once per problem."""
+        return min_rss(self.form, self.budget)
 
 
 def _rejection(
-    form: ResidualForm,
-    floor: float,
+    problem: Problem,
     prior: DirichletParams,
-    budget: float,
     cfg: SamplerConfig,
     rng: np.random.Generator,
     ws: _Workspace | None = None,
@@ -255,8 +278,8 @@ def _rejection(
                 f"yielded {n_accepted} acceptances (need {want})"
             )
         m = min(_CHUNK, remaining_budget)
-        draws, gap = ws.draw_rss(form, prior, budget, rng, m)
-        gap -= floor
+        draws, gap = ws.draw_rss(problem, prior, rng, m)
+        gap -= problem.floor
         if np.any(np.isnan(gap)):
             raise BalsonError("non-finite residual during rejection sampling")
         # Acceptance probability exp(-max(gap, 0) / 2), in place.
@@ -282,9 +305,8 @@ def _rejection(
 
 
 def _importance(
-    form: ResidualForm,
+    problem: Problem,
     prior: DirichletParams,
-    budget: float,
     cfg: SamplerConfig,
     rng: np.random.Generator,
     ws: _Workspace | None = None,
@@ -292,7 +314,7 @@ def _importance(
     """The samples are views of ``ws``'s draws, valid until its next pass."""
     if ws is None:
         ws = _Workspace(cfg.sample_count, len(prior))
-    draws, rss = ws.draw_rss(form, prior, budget, rng, cfg.sample_count)
+    draws, rss = ws.draw_rss(problem, prior, rng, cfg.sample_count)
     if np.any(np.isnan(rss)):
         raise BalsonError("non-finite residual during importance sampling")
     rss *= -0.5
@@ -317,14 +339,10 @@ def rejection_sample(
     fewer proposals they cost. Raises :class:`RejectionBudgetError` if
     ``max_proposals`` runs out first.
     """
-    if len(prior) != spec.order:
-        raise ValueError("prior dimension must equal the model order")
+    problem = Problem.of(data, prior, spec)
     if rng is None:
         rng = round_rng(cfg.seed, 0)
-    form, floor = residual_problem(
-        design_matrix(data.inputs, spec.order), data.targets, spec.scale
-    )
-    return _rejection(form, floor, prior, spec.scale, cfg, rng)
+    return _rejection(problem, prior, cfg, rng)
 
 
 def importance_sample(
@@ -341,12 +359,10 @@ def importance_sample(
     Log weights are shifted by their maximum before exponentiation so the
     normalization cannot underflow at realistic data sizes.
     """
-    if len(prior) != spec.order:
-        raise ValueError("prior dimension must equal the model order")
+    problem = Problem.of(data, prior, spec)
     if rng is None:
         rng = round_rng(cfg.seed, 0)
-    form, _ = residual_problem(design_matrix(data.inputs, spec.order), data.targets, None)
-    return _importance(form, prior, spec.scale, cfg, rng)
+    return _importance(problem, prior, cfg, rng)
 
 
 def weighted_moments(
@@ -367,10 +383,8 @@ def weighted_moments(
 
 
 def _iterated(
-    form: ResidualForm,
-    floor: float | None,
+    problem: Problem,
     prior: DirichletParams,
-    budget: float,
     cfg: SamplerConfig,
     first: str,
     trace: list[RoundRecord] | None = None,
@@ -393,11 +407,11 @@ def _iterated(
         kind = first if rnd == 0 else "is"
         try:
             if kind == "rs":
-                batch = _rejection(form, floor, alpha, budget, cfg, rng, ws)
+                batch = _rejection(problem, alpha, cfg, rng, ws)
             else:
                 # Proposal and prior are both Dir(alpha), so the weights
                 # reduce to the data likelihood alone.
-                batch = _importance(form, alpha, budget, cfg, rng, ws)
+                batch = _importance(problem, alpha, cfg, rng, ws)
             mean, variance = weighted_moments(batch, work=ws.product)
             alpha = match_moments_per_dim(mean, variance)
         except BalsonError as err:
@@ -436,12 +450,7 @@ def rsirs(
     the previous round's Dirichlet fit, then moment-matches again. Returns the
     final concentration vector.
     """
-    if len(prior) != spec.order:
-        raise ValueError("prior dimension must equal the model order")
-    form, floor = residual_problem(
-        design_matrix(data.inputs, spec.order), data.targets, spec.scale
-    )
-    return _iterated(form, floor, prior, spec.scale, cfg, "rs", trace)
+    return _iterated(Problem.of(data, prior, spec), prior, cfg, "rs", trace)
 
 
 def isirs(
@@ -452,7 +461,4 @@ def isirs(
     trace: list[RoundRecord] | None = None,
 ) -> DirichletParams:
     """Same refinement loop as :func:`rsirs` but round 0 is an importance pass."""
-    if len(prior) != spec.order:
-        raise ValueError("prior dimension must equal the model order")
-    form, _ = residual_problem(design_matrix(data.inputs, spec.order), data.targets, None)
-    return _iterated(form, None, prior, spec.scale, cfg, "is", trace)
+    return _iterated(Problem.of(data, prior, spec), prior, cfg, "is", trace)

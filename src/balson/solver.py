@@ -1,9 +1,12 @@
 """End-to-end solver: dataset in, budgeted nonnegative coefficients out.
 
-Pipeline: run the selected Monte-Carlo scheme, moment-match a Dirichlet to
-the posterior samples, take its sparse mode, and rescale back to the
-coefficient budget. The signed entry point doubles the design columns to
-cover ordinary L1 problems.
+Pipeline: build the solve's :class:`~balson.samplers.Problem`, run the
+selected Monte-Carlo scheme on it, moment-match a Dirichlet to the posterior
+samples, take its sparse mode, and rescale back to the coefficient budget.
+The problem takes the RS envelope floor lazily, on the first rejection pass,
+so IS and ISIRS never compute it. The signed entry point covers ordinary L1
+problems through the split reduction, whose residual form is built from the
+K-column statistics.
 """
 
 from __future__ import annotations
@@ -15,20 +18,10 @@ import numpy as np
 
 from .dirichlet import DirichletParams, SimplexVector, mode
 from .exceptions import ModeUndefinedError
-from .model import (
-    Dataset,
-    ModelSpec,
-    ParameterVector,
-    ResidualForm,
-    design_matrix,
-    merge_signed,
-    rescale,
-)
-from .samplers import RoundRecord, SamplerConfig, _iterated, residual_problem
+from .model import Dataset, ModelSpec, ParameterVector, merge_signed, rescale
+from .samplers import Problem, RoundRecord, SamplerConfig, _iterated
 
 METHODS = ("RS", "IS", "RSIRS", "ISIRS")
-# Schemes whose first pass is rejection sampling, which needs the RSS floor.
-_REJECTION_FIRST = ("RS", "RSIRS")
 
 
 def uniform_prior(k: int) -> DirichletParams:
@@ -75,14 +68,16 @@ class FitReport:
     diagnostics: SolveDiagnostics
 
 
-def _solve_design(form: ResidualForm, floor: float | None, cfg: BalsonConfig) -> FitReport:
-    """Run ``cfg``'s scheme on one solve's residual form and RS floor (see ``residual_problem``)."""
+def _solve_design(problem: Problem, *, cfg: BalsonConfig) -> FitReport:
+    """Run ``cfg``'s scheme on one solve's problem.
+
+    ``cfg`` is keyword-only: perfbench's tracer reads it by that name.
+    """
     started = time.perf_counter()
-    budget = cfg.spec.scale
     trace: list[RoundRecord] = []
-    first = "rs" if cfg.method in _REJECTION_FIRST else "is"
+    first = "rs" if cfg.method in ("RS", "RSIRS") else "is"
     refine = cfg.method in ("RSIRS", "ISIRS")
-    alpha_star = _iterated(form, floor, cfg.prior, budget, cfg.sampler, first, trace, refine)
+    alpha_star = _iterated(problem, cfg.prior, cfg.sampler, first, trace, refine)
     try:
         omega_star = mode(alpha_star)
         fallback = False
@@ -91,7 +86,7 @@ def _solve_design(form: ResidualForm, floor: float | None, cfg: BalsonConfig) ->
         # which is always a valid simplex point.
         omega_star = SimplexVector(alpha_star.alpha / alpha_star.alpha0)
         fallback = True
-    theta_star = rescale(omega_star, budget)
+    theta_star = rescale(omega_star, problem.budget)
     diagnostics = SolveDiagnostics(
         method=cfg.method,
         seed=cfg.sampler.seed,
@@ -113,36 +108,17 @@ def _solve_design(form: ResidualForm, floor: float | None, cfg: BalsonConfig) ->
 
 def solve(data: Dataset, cfg: BalsonConfig) -> FitReport:
     """Fit nonnegative budgeted polynomial coefficients to the dataset."""
-    if len(cfg.prior) != cfg.spec.order:
-        raise ValueError("prior dimension must equal the model order")
-    form, floor = residual_problem(
-        design_matrix(data.inputs, cfg.spec.order), data.targets, _floor_budget(cfg)
-    )
-    return _solve_design(form, floor, cfg)
+    return _solve_design(Problem.of(data, cfg.prior, cfg.spec), cfg=cfg)
 
 
 def solve_signed(data: Dataset, cfg: BalsonConfig) -> np.ndarray:
     """Fit signed coefficients under an L1 budget via the split reduction.
 
-    The design rows become [phi(x), -phi(x)], the solve runs in dimension
-    2 * order on the nonnegative split vector, and the halves are merged
-    back to signed coefficients whose absolute sum is at most the budget.
+    The solve runs in dimension 2 * order on the nonnegative split vector,
+    against the residual form of the design [phi(x), -phi(x)]. That form is
+    built from the order-column statistics (see ``Problem.of``), so the split
+    design itself is never formed. The halves are merged back to signed
+    coefficients whose absolute sum is at most the budget.
     """
-    signed_order = cfg.spec.order
-    if len(cfg.prior) != 2 * signed_order:
-        raise ValueError("prior dimension must be twice the signed order")
-    form, floor = residual_problem(
-        _split_design(data.inputs, signed_order), data.targets, _floor_budget(cfg)
-    )
-    return merge_signed(_solve_design(form, floor, cfg).theta_star)
-
-
-def _floor_budget(cfg: BalsonConfig) -> float | None:
-    """The budget to take the RS floor at, or None when the scheme starts with IS."""
-    return cfg.spec.scale if cfg.method in _REJECTION_FIRST else None
-
-
-def _split_design(xs, order: int) -> np.ndarray:
-    """Design rows [phi(x), -phi(x)] of the signed split, shape (N, 2 order)."""
-    half = design_matrix(xs, order)
-    return np.concatenate([half, -half], axis=1)
+    problem = Problem.of(data, cfg.prior, cfg.spec, signed=True)
+    return merge_signed(_solve_design(problem, cfg=cfg).theta_star)

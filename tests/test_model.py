@@ -222,3 +222,15 @@ class TestResidualForm:
         quad_ref = np.einsum("ij,ij->i", thetas @ form.gram, thetas)
         reference = np.maximum(form.yty - 2.0 * (thetas @ form.xty) + quad_ref, 0.0)
         assert plain.tobytes() == reference.tobytes()
+
+    def test_split_statistics_match_the_split_design(self, rng):
+        # The signed form comes from the K-column Gram, not from [X, -X]; the
+        # two agree up to the rounding of the larger product.
+        xs = rng.uniform(-1, 1, 200)
+        ys = rng.normal(size=200)
+        half = design_matrix(xs, 5)
+        split = ResidualForm(half, ys, True)
+        wide = ResidualForm(np.hstack([half, -half]), ys)
+        np.testing.assert_allclose(split.gram, wide.gram, rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(split.xty, wide.xty, rtol=1e-12, atol=0.0)
+        assert split.yty == wide.yty

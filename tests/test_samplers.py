@@ -72,6 +72,21 @@ class TestWeightedSampleSet:
         with pytest.raises(ValueError):
             WeightedSampleSet(samples, np.array([0.5, 0.5]), 2.0, 1.5)
 
+    @pytest.mark.parametrize(
+        "samples, weights, message",
+        [
+            ([[np.nan, np.nan], [0.5, 0.5]], [0.5, 0.5], "simplex"),
+            ([[0.5, 0.5], [0.5, 0.5]], [np.nan, np.nan], "weights"),
+            ([[0.5, 0.5], [0.5, 0.5]], [np.nan, 1.0], "weights"),
+        ],
+        ids=["nan-samples", "nan-weights", "one-nan-weight"],
+    )
+    def test_nan_is_rejected(self, samples, weights, message):
+        # NaN compares false both ways, so a check written as "reject when
+        # below the bound" lets it through.
+        with pytest.raises(ValueError, match=message):
+            WeightedSampleSet(np.array(samples), np.array(weights), 1.0, 1.0)
+
 
 class TestRssLowerBound:
     def test_square_system_interpolates(self):

@@ -144,11 +144,12 @@ class TestFailedSolvePinsNothing:
 class TestOneResidualProblemPerSolve:
     @pytest.fixture
     def counts(self, monkeypatch):
-        counts = {"builds": 0, "floors": 0}
+        counts = {"builds": 0, "floors": 0, "columns": []}
         init, floor = ResidualForm.__init__, samplers.min_rss
 
         def counted_init(self, *args):
             counts["builds"] += 1
+            counts["columns"].append(args[0].shape[1])
             init(self, *args)
 
         def counted_floor(*args):
@@ -159,12 +160,25 @@ class TestOneResidualProblemPerSolve:
         monkeypatch.setattr(samplers, "min_rss", counted_floor)
         return counts
 
-    @pytest.mark.parametrize("method, floors", [("RS", 1), ("IS", 0), ("RSIRS", 1), ("ISIRS", 0)])
-    def test_built_once(self, counts, method, floors):
-        report = solve(paper_like(100), config(method, sample_count=200))
-        assert counts == {"builds": 1, "floors": floors}
-        rounds = 1 if method in ("RS", "IS") else 4
-        assert len(report.diagnostics.ess_per_round) == rounds
+    SCHEMES = [("RS", 1), ("IS", 0), ("RSIRS", 1), ("ISIRS", 0)]
+
+    @pytest.mark.parametrize(
+        "signed, method, floors",
+        [(False, *scheme) for scheme in SCHEMES] + [(True, *scheme) for scheme in SCHEMES],
+        ids=[f"{m}-{f}" for m, f in SCHEMES] + [f"signed-{m}-{f}" for m, f in SCHEMES],
+    )
+    def test_built_once(self, counts, signed, method, floors):
+        # One form per solve, built from the K-column design even when signed,
+        # and the RS floor taken only by the schemes that start with RS.
+        cfg = config(method, sample_count=200)
+        if signed:
+            cfg = dataclasses.replace(cfg, prior=uniform_prior(2 * len(PAPER_THETA)))
+            assert solve_signed(paper_like(100), cfg).shape == (len(PAPER_THETA),)
+        else:
+            report = solve(paper_like(100), cfg)
+            rounds = 1 if method in ("RS", "IS") else 4
+            assert len(report.diagnostics.ess_per_round) == rounds
+        assert counts == {"builds": 1, "floors": floors, "columns": [len(PAPER_THETA)]}
 
     def test_form_keeps_only_statistics(self):
         form = ResidualForm(design_matrix(np.linspace(0, 1, 50), 3), np.ones(50))
