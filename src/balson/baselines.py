@@ -74,7 +74,6 @@ class GibbsParams:
 
 @dataclass(frozen=True)
 class BaselineConfig:
-    method: str | None = None
     lasso: LassoParams = field(default_factory=LassoParams)
     ip: IpParams = field(default_factory=IpParams)
     gibbs: GibbsParams = field(default_factory=GibbsParams)

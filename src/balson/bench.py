@@ -170,37 +170,31 @@ def _repetition_rows(cfg: ExperimentConfig, repetition: int) -> list[RunRecord]:
         started = time.perf_counter()
         try:
             theta, diag = _fit_one(method, train, cfg, seed)
-            fitted = predict(theta, test_x)
-            record = RunRecord(
-                method=method,
-                repetition=repetition,
-                seed=seed,
-                dataset_sha256=digest,
-                mse=mse(test_truth, fitted),
+            outcome = dict(
+                diag,
+                mse=mse(test_truth, predict(theta, test_x)),
                 sparsity=sparsity(theta),
-                acceptance_rate=diag.get("acceptance_rate"),
-                ess_final=diag.get("ess_final"),
-                alpha0_final=diag.get("alpha0_final"),
-                wall_clock_s=time.perf_counter() - started,
-                error=None,
                 theta=tuple(float(t) for t in theta),
             )
+            error = None
         except BalsonError as err:
-            record = RunRecord(
+            outcome, error = {}, str(err)
+        rows.append(
+            RunRecord(
                 method=method,
                 repetition=repetition,
                 seed=seed,
                 dataset_sha256=digest,
-                mse=None,
-                sparsity=None,
-                acceptance_rate=None,
-                ess_final=None,
-                alpha0_final=None,
+                mse=outcome.get("mse"),
+                sparsity=outcome.get("sparsity"),
+                acceptance_rate=outcome.get("acceptance_rate"),
+                ess_final=outcome.get("ess_final"),
+                alpha0_final=outcome.get("alpha0_final"),
                 wall_clock_s=time.perf_counter() - started,
-                error=str(err),
-                theta=None,
+                error=error,
+                theta=outcome.get("theta"),
             )
-        rows.append(record)
+        )
     return rows
 
 
@@ -266,10 +260,14 @@ def summarize(table: ResultTable) -> Summary:
 
 
 def config_echo(cfg: ExperimentConfig) -> dict:
-    """Experiment definition as plain data, excluding scheduling/IO knobs."""
+    """Experiment definition as plain data that :func:`config_from_mapping` reads back.
+
+    Scheduling/IO knobs and the ignored ``baselines.lasso`` are left out.
+    """
     echo = dataclasses.asdict(cfg)
     echo.pop("out_dir")
     echo.pop("workers")
+    echo["baselines"].pop("lasso")
     echo["true_theta"] = list(cfg.true_theta)
     echo["methods"] = list(cfg.methods)
     return echo

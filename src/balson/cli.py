@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import sys
 
@@ -97,21 +98,11 @@ def _read_xy_csv(path: str) -> Dataset:
 
 
 def _report_payload(report: FitReport, args) -> dict:
-    diag = report.diagnostics
     return {
         "theta_star": [float(v) for v in report.theta_star.theta],
         "alpha_star": [float(v) for v in report.alpha_star.alpha],
         "omega_star": [float(v) for v in report.omega_star.values],
-        "diagnostics": {
-            "method": diag.method,
-            "prior_alpha": list(diag.prior_alpha),
-            "acceptance_rate": diag.acceptance_rate,
-            "proposals": diag.proposals,
-            "ess_per_round": list(diag.ess_per_round),
-            "alpha0_trajectory": list(diag.alpha0_trajectory),
-            "mean_fallback": diag.mean_fallback,
-            "wall_clock_s": diag.wall_clock_s,
-        },
+        "diagnostics": dataclasses.asdict(report.diagnostics),
         "config": {
             "order": args.order,
             "budget": args.budget,

@@ -182,22 +182,6 @@ def min_rss(form: ResidualForm, budget: float) -> float:
     return max(form.rss(theta) - float(grad @ theta) + budget * float(grad.min()), 0.0)
 
 
-def rss_lower_bound(data: Dataset, order: int) -> float:
-    """Floor of ||y - Phi theta||^2 over all real theta; dominates RSS(C omega).
-
-    The unconstrained least-squares RSS (minimum-norm on rank deficiency).
-    Rejection sampling uses the tighter simplex floor :func:`min_rss` instead.
-    """
-    if order < 1:
-        raise ValueError("order must be >= 1")
-    if len(data) == 0:
-        return 0.0
-    design = design_matrix(data.inputs, order)
-    theta, *_ = np.linalg.lstsq(design, data.targets, rcond=None)
-    resid = data.targets - design @ theta
-    return max(float(resid @ resid), 0.0)
-
-
 def normalize_log_weights(log_weights: np.ndarray) -> tuple[np.ndarray, float]:
     """Shift by the max, exponentiate, normalize; returns (weights, ess).
 

@@ -48,7 +48,6 @@ class SolveDiagnostics:
     """Audit trail of one solve: per-round behavior, fallback flag, timing."""
 
     method: str
-    seed: int
     prior_alpha: tuple[float, ...]
     acceptance_rate: float
     proposals: int  # draws made in round 0: RS proposals, or L for IS
@@ -89,7 +88,6 @@ def _solve_design(problem: Problem, *, cfg: BalsonConfig) -> FitReport:
     theta_star = rescale(omega_star, problem.budget)
     diagnostics = SolveDiagnostics(
         method=cfg.method,
-        seed=cfg.sampler.seed,
         prior_alpha=tuple(float(a) for a in cfg.prior.alpha),
         acceptance_rate=trace[0].acceptance_rate,
         proposals=trace[0].proposals,

@@ -1,0 +1,72 @@
+import csv
+import dataclasses
+import json
+import warnings
+
+from balson import (
+    BaselineConfig,
+    ExperimentConfig,
+    GibbsParams,
+    IpParams,
+    SamplerConfig,
+    emit_outputs,
+    run_experiment,
+    summarize,
+)
+from balson.bench import config_echo, config_from_mapping
+
+TINY = ExperimentConfig(
+    n_test=50,
+    repetitions=3,
+    sampler=SamplerConfig(sample_count=200, resample_rounds=2),
+    baselines=BaselineConfig(gibbs=GibbsParams(iterations=60, burn_in=20)),
+)
+OUTPUT_FILES = {
+    "config.json",
+    "runs.csv",
+    "summary.csv",
+    "pvalues_mse.csv",
+    "pvalues_sparsity.csv",
+    "curves.csv",
+    "curves.svg",
+    "boxplot_mse.svg",
+    "boxplot_sparsity.svg",
+}
+
+
+def test_config_echo_loads_back():
+    cfg = ExperimentConfig(
+        true_theta=(0.2, 0.0, 0.7),
+        n_train=40,
+        methods=("IP", "BALSON-ISIRS"),
+        sampler=SamplerConfig(sample_count=300, resample_rounds=4, max_proposals=9000, seed=5),
+        baselines=BaselineConfig(
+            ip=IpParams(mu0=2.0, newton_tol=1e-10),
+            gibbs=GibbsParams(iterations=90, burn_in=30, seed=3),
+        ),
+        base_seed=11,
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert config_from_mapping(json.loads(json.dumps(config_echo(cfg)))) == cfg
+
+
+def bench_files(tmp_path, name, workers):
+    out = tmp_path / name
+    table = run_experiment(dataclasses.replace(TINY, workers=workers))
+    written = emit_outputs(table, summarize(table), out, svg=True)
+    assert {p.name for p in written} == OUTPUT_FILES
+    files = {p.name: p.read_bytes() for p in written}
+    # wall_clock_s is the only column that is not a function of the config.
+    with (out / "runs.csv").open(newline="") as handle:
+        files["runs.csv"] = [
+            {k: v for k, v in row.items() if k != "wall_clock_s"} for row in csv.DictReader(handle)
+        ]
+    return files
+
+
+def test_outputs_are_reproducible_and_independent_of_workers(tmp_path):
+    first = bench_files(tmp_path, "a", workers=1)
+    assert len(first["runs.csv"]) == 3 * 7
+    assert bench_files(tmp_path, "b", workers=1) == first
+    assert bench_files(tmp_path, "c", workers=2) == first

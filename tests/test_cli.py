@@ -1,6 +1,7 @@
 """CLI exit codes: 1 usage error, 2 numerical failure, 3 I/O failure."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -34,6 +35,16 @@ def test_success(csv_path, tmp_path):
     report = json.loads((tmp_path / "report.json").read_text())
     assert len(report["theta_star"]) == 2
     assert report["diagnostics"]["proposals"] == 200  # IS draws L = 200
+    assert set(report["diagnostics"]) == {
+        "method",
+        "prior_alpha",
+        "acceptance_rate",
+        "proposals",
+        "ess_per_round",
+        "alpha0_trajectory",
+        "mean_fallback",
+        "wall_clock_s",
+    }
 
 
 @pytest.mark.parametrize(
@@ -65,3 +76,43 @@ def test_io_failure(tmp_path, capsys):
     missing = tmp_path / "missing.csv"
     assert cli.main(fit_args(missing, tmp_path)) == cli.EXIT_IO
     assert "io failure" in capsys.readouterr().err
+
+
+TINY_BENCH = {
+    "repetitions": 2,
+    "n_test": 50,
+    "sampler": {"sample_count": 200, "resample_rounds": 2},
+    "baselines": {"gibbs": {"iterations": 60, "burn_in": 20}},
+}
+
+
+def test_bench_writes_what_it_reports(tmp_path, capsys):
+    config = tmp_path / "bench.json"
+    config.write_text(json.dumps(TINY_BENCH))
+    out = tmp_path / "out"
+    assert cli.main(["bench", "--config", str(config), "--out-dir", str(out), "--svg"]) == cli.EXIT_OK
+    lines = capsys.readouterr().out.splitlines()
+    wrote = [Path(line.removeprefix("wrote ")) for line in lines if line.startswith("wrote ")]
+    assert len(wrote) == 9
+    assert all(path.exists() for path in wrote)
+    # A run's own config echo is a valid config.
+    echo = str(out / "config.json")
+    assert cli.main(["bench", "--config", echo, "--out-dir", str(tmp_path / "again")]) == cli.EXIT_OK
+
+
+def test_bench_without_output_directory(tmp_path, capsys):
+    config = tmp_path / "bench.json"
+    config.write_text(json.dumps(TINY_BENCH))
+    assert cli.main(["bench", "--config", str(config)]) == cli.EXIT_USAGE
+    assert "output directory" in capsys.readouterr().err
+
+
+def test_sample_diag(capsys):
+    assert cli.main(["sample-diag", "--order", "3", "--samples", "1000"]) == cli.EXIT_OK
+    rows = capsys.readouterr().out.splitlines()[2:]
+    assert [row.split()[0] for row in rows] == ["0", "1", "2"]
+
+
+def test_sample_diag_too_few_samples(capsys):
+    assert cli.main(["sample-diag", "--order", "3", "--samples", "50"]) == cli.EXIT_USAGE
+    assert "usage error" in capsys.readouterr().err

@@ -23,7 +23,6 @@ from balson import (
     normalize_log_weights,
     rejection_sample,
     rsirs,
-    rss_lower_bound,
     uniform_prior,
     weighted_moments,
 )
@@ -86,34 +85,6 @@ class TestWeightedSampleSet:
         # below the bound" lets it through.
         with pytest.raises(ValueError, match=message):
             WeightedSampleSet(np.array(samples), np.array(weights), 1.0, 1.0)
-
-
-class TestRssLowerBound:
-    def test_square_system_interpolates(self):
-        data = noisy_dataset(4, 4, seed=3)
-        assert rss_lower_bound(data, 4) == pytest.approx(0.0, abs=1e-9)
-
-    def test_empty(self):
-        assert rss_lower_bound(EMPTY, 3) == 0.0
-
-    def test_matches_normal_equations(self):
-        data = noisy_dataset(5, 20, seed=9)
-        design = design_matrix(data.inputs, 5)
-        theta = np.linalg.solve(design.T @ design, design.T @ data.targets)
-        resid = data.targets - design @ theta
-        expected = float(resid @ resid)
-        assert rss_lower_bound(data, 5) == pytest.approx(expected, rel=1e-8)
-
-    def test_dominates_simplex_residuals(self, rng):
-        # envelope validity: the floor never exceeds RSS(C omega)
-        data = noisy_dataset(3, 15, seed=4)
-        floor = rss_lower_bound(data, 3)
-        design = design_matrix(data.inputs, 3)
-        for _ in range(1000):
-            raw = rng.uniform(0, 1, 3)
-            omega = raw / raw.sum()
-            resid = data.targets - design @ omega
-            assert resid @ resid >= floor - 1e-9
 
 
 class TestMinRss:
