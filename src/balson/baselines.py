@@ -1,14 +1,17 @@
 """Reference solvers: budgeted LASSO, log-barrier interior point, Bayesian LASSO.
 
-LASSO and IP share one constrained-QP core, a log-barrier Newton method on
-RSS's sufficient statistics (Gram, X'y, y'y). IP solves
-min RSS s.t. theta >= 0, sum theta <= C. LASSO solves the constrained form
-min RSS s.t. ||theta||_1 <= C (Tibshirani 1996) as the same problem on the
-split design [X, -X]. :func:`lasso_coordinate_descent` solves the penalised
-form min RSS + lam ||theta||_1 for a given penalty; ``lasso_fit`` does not
-use it. :func:`bayesian_lasso_fit` runs its Gibbs chain on LAPACK's
-Cholesky and triangular solves, and raises :class:`BalsonError` before the
-chain starts if the Gram or X'y is non-finite, instead of returning NaN.
+The RS envelope floor, LASSO and IP share one constrained-QP core,
+:func:`_barrier_qp`: a log-barrier Newton method for min RSS over the
+equality simplex {theta >= 0, sum theta = C}, on RSS's sufficient statistics
+(Gram, X'y, y'y) from a :class:`~balson.model.ResidualForm`. IP solves
+min RSS s.t. theta >= 0, sum theta <= C on the core with one slack
+coordinate. LASSO solves the constrained form min RSS s.t. ||theta||_1 <= C
+(Tibshirani 1996) as the same problem on the split design [X, -X].
+:func:`lasso_coordinate_descent` solves the penalised form
+min RSS + lam ||theta||_1 for a given penalty; ``lasso_fit`` does not use it.
+:func:`bayesian_lasso_fit` runs its Gibbs chain on LAPACK's Cholesky and
+triangular solves. The form raises :class:`BalsonError` if the Gram or X'y
+is non-finite, so no solver starts on an overflowing design.
 Implemented at the fidelity needed for head-to-head metric comparisons
 against the Dirichlet-posterior solver, nothing more.
 """
@@ -19,7 +22,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg.lapack import dpotrf, dtrtrs
+from scipy.linalg.lapack import dpotrf, dpotrs, dtrtrs
 
 from .exceptions import BalsonError
 from .model import Dataset, ModelSpec, ParameterVector, ResidualForm, design_matrix, merge_signed
@@ -30,7 +33,7 @@ class LassoParams:
     """Deprecated and ignored: the penalty search of the former LASSO solver.
 
     :func:`lasso_fit` now solves the constrained form directly on the barrier
-    core, with ``BaselineConfig.ip`` as its schedule, so there is no penalty
+    core, with ``BaselineConfig.ip``'s tolerance, so there is no penalty
     to search. The class and ``BaselineConfig.lasso`` remain only so that
     existing code and configs still construct.
     """
@@ -45,14 +48,27 @@ class LassoParams:
 
 @dataclass(frozen=True)
 class IpParams:
-    """Log-barrier schedule and Newton tolerances."""
+    """Stopping tolerance of the barrier core, relative to max(RSS, 1).
 
-    mu0: float = 1.0
-    barrier_factor: float = 0.2
-    newton_tol: float = 1e-8
-    gap_tol: float = 1e-8
-    max_outer: int = 60
-    max_newton: int = 200
+    The core stops once its Frank-Wolfe gap, an upper bound on RSS(theta)
+    minus the minimum, is at most ``gap_tol`` max(RSS(theta), 1) plus the
+    floor that rounding sets on the gap (see :func:`_barrier_qp`).
+    """
+
+    gap_tol: float = 1e-10
+
+    def __post_init__(self):
+        if not self.gap_tol > 0.0:
+            raise ValueError("gap_tol must be positive")
+
+
+# The barrier schedule: the first level, the factor applied once a level is
+# centred, the decrement (as a multiple of the level) below which it is, and
+# the Newton step cap of one solve.
+_MU0 = 1.0
+_SHRINK = 0.05
+_CENTRED = 0.25
+_MAX_STEPS = 200
 
 
 @dataclass(frozen=True)
@@ -141,14 +157,14 @@ def lasso_fit(data: Dataset, spec: ModelSpec, cfg: BaselineConfig) -> np.ndarray
 
     Splitting theta = theta+ - theta- with both parts nonnegative turns the
     L1 ball into {theta+, theta- >= 0, sum <= C} on the design [X, -X], which
-    is the barrier core's problem (Tibshirani 1996). Its statistics come from
-    the split :class:`~balson.model.ResidualForm`, the same one the signed
-    BALSON solve uses, which builds [[G, -G], [-G, G]] and [X'y, -X'y] from
-    the K x K Gram G and never forms [X, -X] itself. The barrier schedule is
-    ``cfg.ip``; ``cfg.lasso`` is ignored.
+    is IP's problem (Tibshirani 1996). Its statistics come from the split
+    :class:`~balson.model.ResidualForm`, the same one the signed BALSON
+    solve uses, which builds [[G, -G], [-G, G]] and [X'y, -X'y] from the
+    K x K Gram G and never forms [X, -X] itself. The stopping tolerance is
+    ``cfg.ip``'s; ``cfg.lasso`` is ignored.
     """
     form = ResidualForm(design_matrix(data.inputs, spec.order), data.targets, True)
-    return merge_signed(_barrier_qp(form.gram, form.xty, form.yty, spec.scale, cfg.ip))
+    return merge_signed(_within_budget(form, spec.scale, cfg.ip))
 
 
 def ip_fit(data: Dataset, spec: ModelSpec, cfg: BaselineConfig) -> ParameterVector:
@@ -160,79 +176,78 @@ def ip_fit(data: Dataset, spec: ModelSpec, cfg: BaselineConfig) -> ParameterVect
 def ip_solve(
     design: np.ndarray, targets: np.ndarray, budget: float, params: IpParams
 ) -> np.ndarray:
-    """Primal log-barrier method on an explicit design matrix (see :func:`_barrier_qp`)."""
-    return _barrier_qp(
-        design.T @ design, design.T @ targets, float(targets @ targets), budget, params
-    )
+    """Log-barrier solve of min RSS s.t. theta >= 0, sum theta <= C on an explicit design."""
+    return _within_budget(ResidualForm(design, targets), budget, params)
+
+
+def _within_budget(form: ResidualForm, budget: float, params: IpParams) -> np.ndarray:
+    """min RSS(theta) s.t. theta >= 0, sum theta <= C, as the core's equality simplex.
+
+    One slack coordinate with a zero Gram row and column and a zero X'y
+    entry takes up the budget that theta leaves unused, at no cost in RSS.
+    """
+    k = form.xty.shape[0]
+    gram = np.zeros((k + 1, k + 1))
+    gram[:k, :k] = form.gram
+    return _barrier_qp(gram, np.append(form.xty, 0.0), form.yty, budget, params.gap_tol)[:k]
 
 
 def _barrier_qp(
-    gram: np.ndarray,
-    xty: np.ndarray,
-    yty: float,
-    budget: float,
-    params: IpParams,
-    trace: list[np.ndarray] | None = None,
+    gram: np.ndarray, xty: np.ndarray, yty: float, budget: float, gap_tol: float
 ) -> np.ndarray:
-    """min RSS(theta) s.t. theta >= 0, sum theta <= C, from RSS's sufficient statistics.
+    """min RSS(theta) s.t. theta >= 0, sum theta = C, from RSS's sufficient statistics.
 
-    RSS(theta) = y'y - 2 theta'X'y + theta'G theta. Damped Newton on
-    RSS - mu (sum ln theta_i + ln(C - sum theta)), with mu shrunk
-    geometrically until the (K+1) mu gap proxy is below tolerance.
-    Every iterate stays strictly feasible. ``trace`` collects the iterates.
+    RSS(theta) = y'y - 2 theta'X'y + theta'G theta. Newton's method on
+    RSS - mu sum ln theta_i over the plane sum theta = C, in the variables u
+    of theta = D u with D = diag(theta) (Boyd & Vandenberghe 2004, ch. 11).
+    There the Hessian is M = D 2G D + mu I. Solving M against the scaled
+    gradient and against theta gives the step that keeps sum theta = C; the
+    step goes at most 0.99 of the way to the boundary. Once the Newton
+    decrement is below mu/4, the level is centred and mu shrinks, down to
+    the first level with K mu at most the target below.
+
+    Returns the first iterate whose Frank-Wolfe gap g'theta - C min g, with
+    g = grad RSS(theta), is at most ``gap_tol`` max(RSS(theta), 1) + r. The
+    gap bounds RSS(theta) minus the minimum, and a centred point at the last
+    level has a gap of at most (K - 1) mu. Here r = K eps C (C max|2G| +
+    max|2X'y|) bounds the rounding of the gap's terms and eps K times the
+    largest eigenvalue of D 2G D. So the gap is not asked to go below what
+    rounding resolves, and M's diagonal is never less than r, so that its
+    Cholesky factorisation succeeds however singular G is. Raises
+    :class:`BalsonError` if the factorisation fails all the same, or if the
+    step cap is reached first.
     """
     k = gram.shape[0]
     gram2 = 2.0 * gram
-    corr2 = 2.0 * xty
-
-    theta = np.full(k, budget / (2.0 * k))
-    if trace is not None:
-        trace.append(theta.copy())
-    # Checked after the first iterate is traced, so that min_rss still has a
-    # feasible point to certify a floor from.
-    if not (np.all(np.isfinite(gram)) and np.all(np.isfinite(xty))):
-        raise BalsonError("non-finite Gram or X'y: the design overflows")
-
-    def barrier_value(t, mu):
-        slack = budget - t.sum()
-        rss = yty - float(corr2 @ t) + 0.5 * float(t @ gram2 @ t)
-        return rss - mu * (float(np.log(t).sum()) + np.log(slack))
-
-    mu = params.mu0
-    for _ in range(params.max_outer):
-        for _ in range(params.max_newton):
-            slack = budget - theta.sum()
-            grad = gram2 @ theta - corr2 - mu / theta + (mu / slack)
-            hess = gram2 + np.diag(mu / theta**2) + (mu / slack**2)
-            try:
-                step = np.linalg.solve(hess, -grad)
-            except np.linalg.LinAlgError as err:
-                raise BalsonError(f"newton failure at barrier level {mu:.3g}: {err}") from err
-            decrement_sq = float(-grad @ step)
-            if decrement_sq / 2.0 <= params.newton_tol:
-                break
-            size = 1.0
-            # Pull the step inside the strictly feasible region first.
-            while np.any(theta + size * step <= 0.0) or (theta + size * step).sum() >= budget:
-                size *= 0.5
-                if size < 1e-16:
-                    raise BalsonError(f"newton failure at barrier level {mu:.3g}: no feasible step")
-            reference = barrier_value(theta, mu)
-            while barrier_value(theta + size * step, mu) > reference + 0.25 * size * float(
-                grad @ step
-            ):
-                size *= 0.5
-                if size < 1e-16:
-                    raise BalsonError(f"newton failure at barrier level {mu:.3g}: line search stalled")
-            theta = theta + size * step
-            if trace is not None:
-                trace.append(theta.copy())
-        else:
-            raise BalsonError(f"newton failure at barrier level {mu:.3g}: iteration cap")
-        if (k + 1) * mu < params.gap_tol:
-            break
-        mu *= params.barrier_factor
-    return theta
+    xty2 = 2.0 * xty
+    terms = budget * (budget * np.abs(gram2).max() + np.abs(xty2).max())
+    resolution = k * np.finfo(float).eps * terms
+    theta = np.full(k, budget / k)
+    rhs = np.empty((k, 2), order="F")
+    mu = _MU0
+    for _ in range(_MAX_STEPS):
+        gram_theta = gram2 @ theta
+        grad = gram_theta - xty2
+        rss = yty + float(theta @ (0.5 * gram_theta - xty2))
+        target = gap_tol * max(rss, 1.0) + resolution
+        if float(grad @ theta) - budget * float(grad.min()) <= target:
+            return theta
+        hess = gram2 * np.outer(theta, theta)
+        hess.flat[:: k + 1] += max(mu, resolution)
+        chol, info = dpotrf(hess, lower=1, clean=0, overwrite_a=1)
+        if info != 0:
+            raise BalsonError(f"barrier Newton system not positive definite at level {mu:.3g}")
+        rhs[:, 0] = theta * grad - mu
+        rhs[:, 1] = theta
+        solved, _ = dpotrs(chol, rhs, lower=1)
+        free, normal = solved[:, 0], solved[:, 1]
+        step = float(theta @ free) / float(theta @ normal) * normal - free
+        decrement = -float(rhs[:, 0] @ step)
+        # A full step, or 0.99 of the way to the nearest bound if that is closer.
+        theta = theta * (1.0 + 0.99 / max(-float(step.min()), 0.99) * step)
+        if decrement <= _CENTRED * mu and k * mu > target:
+            mu *= _SHRINK
+    raise BalsonError(f"barrier stalled at level {mu:.3g}: step cap")
 
 
 def bayesian_lasso_fit(
@@ -259,14 +274,11 @@ def bayesian_lasso_fit(
     params = cfg.gibbs
     if rng is None:
         rng = np.random.default_rng([params.seed])
-    design = design_matrix(data.inputs, spec.order)
-    gram = design.T @ design
-    corr = design.T @ data.targets
-    if not (np.all(np.isfinite(gram)) and np.all(np.isfinite(corr))):
-        raise BalsonError("non-finite Gram or X'y: the design overflows")
+    form = ResidualForm(design_matrix(data.inputs, spec.order), data.targets)
+    corr = form.xty
     k = spec.order
 
-    precision = np.array(gram, order="F")
+    precision = np.array(form.gram, order="F")
     diag = precision.ravel(order="F")[:: k + 1]  # a writable view of P's diagonal
     gram_diag = diag.copy()
     tau_sq = np.ones(k)

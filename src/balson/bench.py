@@ -273,39 +273,38 @@ def config_echo(cfg: ExperimentConfig) -> dict:
     return echo
 
 
+def _build(cls, raw: dict, what: str):
+    """``cls(**raw)``, or a ValueError that names the keys ``cls`` has no field for."""
+    unknown = set(raw) - {f.name for f in dataclasses.fields(cls)}
+    if unknown:
+        raise ValueError(f"unknown {what} keys: {sorted(unknown)}")
+    return cls(**raw)
+
+
 def config_from_mapping(raw: dict) -> ExperimentConfig:
     """Build a config from parsed JSON; omitted fields keep benchmark defaults."""
     raw = dict(raw)
-    kwargs = {}
     if "sampler" in raw:
-        kwargs["sampler"] = SamplerConfig(**raw.pop("sampler"))
+        raw["sampler"] = _build(SamplerConfig, raw["sampler"], "sampler config")
     if "baselines" in raw:
-        nested = dict(raw.pop("baselines"))
+        nested = dict(raw["baselines"])
         if "lasso" in nested:
             warnings.warn(
                 'the "lasso" baseline key is deprecated and ignored: LASSO runs on the '
-                'barrier core with the "ip" schedule',
+                'barrier core with the "ip" tolerance',
                 DeprecationWarning,
                 stacklevel=2,
             )
-        sub = {}
-        for name, cls in (("lasso", "LassoParams"), ("ip", "IpParams"), ("gibbs", "GibbsParams")):
-            if name in nested:
-                from . import baselines as _baselines
-
-                sub[name] = getattr(_baselines, cls)(**nested.pop(name))
-        if nested:
-            raise ValueError(f"unknown baseline config keys: {sorted(nested)}")
-        kwargs["baselines"] = BaselineConfig(**sub)
-    allowed = {f.name for f in dataclasses.fields(ExperimentConfig)} - {"sampler", "baselines"}
-    unknown = set(raw) - allowed
-    if unknown:
-        raise ValueError(f"unknown config keys: {sorted(unknown)}")
+        # Each section's class is its BaselineConfig field's default factory.
+        for section in dataclasses.fields(BaselineConfig):
+            if section.name in nested:
+                what = f"baselines.{section.name} config"
+                nested[section.name] = _build(section.default_factory, nested[section.name], what)
+        raw["baselines"] = _build(BaselineConfig, nested, "baseline config")
     for key in ("true_theta", "methods"):
         if key in raw:
             raw[key] = tuple(raw[key])
-    kwargs.update(raw)
-    return ExperimentConfig(**kwargs)
+    return _build(ExperimentConfig, raw, "config")
 
 
 def emit_outputs(table: ResultTable, summary: Summary, out_dir, svg: bool = False) -> list[Path]:

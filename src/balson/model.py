@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dirichlet import DirichletParams, SimplexVector, log_density
+from .exceptions import BalsonError
 
 LOG_2PI = float(np.log(2.0 * np.pi))
 
@@ -118,11 +119,16 @@ class ResidualForm:
     With ``split`` true the form is that of the signed split design [X, -X],
     built from the K-column statistics as [[G, -G], [-G, G]] and
     [X'y, -X'y], so the N x 2K design is never formed.
+
+    Raises :class:`BalsonError` if the Gram or X'y is non-finite, so every
+    solver on the form can take its statistics as finite.
     """
 
     def __init__(self, design: np.ndarray, targets: np.ndarray, split: bool = False):
         gram = design.T @ design
         xty = design.T @ targets
+        if not (np.all(np.isfinite(gram)) and np.all(np.isfinite(xty))):
+            raise BalsonError("non-finite Gram or X'y: the design overflows")
         if split:
             gram = np.block([[gram, -gram], [-gram, gram]])
             xty = np.concatenate([xty, -xty])

@@ -150,34 +150,15 @@ def min_rss(form: ResidualForm, budget: float) -> float:
     """Certified lower bound on RSS(theta) over the scaled simplex {theta >= 0, sum theta = C}.
 
     This is the RS envelope floor. The barrier core minimises RSS over the
-    simplex in the coordinates theta = C e_K + A phi with A = [I; -1'], whose
-    feasible set {phi >= 0, sum phi <= C} is the core's own. At its answer
-    theta_hat, with g = grad RSS(theta_hat), convexity gives for every simplex
-    point RSS(theta) >= RSS(theta_hat) - g'theta_hat + C min_i g_i, the
-    Frank-Wolfe bound (Frank & Wolfe 1956). The bound holds for any theta_hat,
-    so the floor is valid however far the barrier stopped from the optimum,
-    and it equals the minimum when theta_hat is the minimiser. Near the
-    optimum the barrier's Newton system can turn numerically singular when
-    the Gram is singular, as in the signed split; theta_hat is then the
-    barrier's last iterate.
+    simplex. At its answer theta_hat, with g = grad RSS(theta_hat),
+    convexity gives for every simplex point
+    RSS(theta) >= RSS(theta_hat) - g'theta_hat + C min_i g_i, the
+    Frank-Wolfe bound (Frank & Wolfe 1956; Jaggi 2013). The bound holds for
+    any theta_hat, and the core returns a theta_hat at which it is within
+    ``IpParams().gap_tol`` max(RSS, 1) of RSS(theta_hat), so the floor is
+    within that of the minimum.
     """
-    k = form.gram.shape[0]
-    lift = np.vstack([np.eye(k - 1), -np.ones(k - 1)])
-    corner = np.zeros(k)
-    corner[-1] = budget
-    iterates: list[np.ndarray] = []
-    try:
-        _barrier_qp(
-            lift.T @ form.gram @ lift,
-            lift.T @ (form.xty - form.gram @ corner),
-            form.rss(corner),
-            budget,
-            IpParams(),
-            iterates,
-        )
-    except BalsonError:
-        pass  # the last feasible iterate still certifies a floor
-    theta = corner + lift @ iterates[-1]
+    theta = _barrier_qp(form.gram, form.xty, form.yty, budget, IpParams().gap_tol)
     grad = 2.0 * (form.gram @ theta - form.xty)
     return max(form.rss(theta) - float(grad @ theta) + budget * float(grad.min()), 0.0)
 

@@ -41,7 +41,7 @@ def test_config_echo_loads_back():
         methods=("IP", "BALSON-ISIRS"),
         sampler=SamplerConfig(sample_count=300, resample_rounds=4, max_proposals=9000, seed=5),
         baselines=BaselineConfig(
-            ip=IpParams(mu0=2.0, newton_tol=1e-10),
+            ip=IpParams(gap_tol=1e-8),
             gibbs=GibbsParams(iterations=90, burn_in=30, seed=3),
         ),
         base_seed=11,

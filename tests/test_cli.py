@@ -107,6 +107,18 @@ def test_bench_without_output_directory(tmp_path, capsys):
     assert "output directory" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "raw, key",
+    [({"sampler": {"sample_cont": 500}}, "sample_cont"), ({"baselines": {"ip": {"mu0": 2.0}}}, "mu0")],
+)
+def test_bench_misspelt_nested_key(tmp_path, capsys, raw, key):
+    config = tmp_path / "bench.json"
+    config.write_text(json.dumps(raw))
+    assert cli.main(["bench", "--config", str(config), "--out-dir", str(tmp_path / "out")]) == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("usage error:") and repr(key) in err
+
+
 def test_sample_diag(capsys):
     assert cli.main(["sample-diag", "--order", "3", "--samples", "1000"]) == cli.EXIT_OK
     rows = capsys.readouterr().out.splitlines()[2:]
