@@ -26,11 +26,11 @@ from .exceptions import BalsonError, DegenerateStatisticError
 from .metrics import mse, paired_t_test, sparsity
 from .model import Dataset, ModelSpec, predict
 from .samplers import SamplerConfig
-from .solver import BalsonConfig, solve, uniform_prior
+from .solver import METHODS, BalsonConfig, solve, uniform_prior
 
 PAPER_THETA = (0.0013, 0.0380, 0.0102, 0.9082, 0.0423)
 BASELINE_METHODS = ("LASSO", "IP", "BayesianLASSO")
-BALSON_METHODS = ("BALSON-RS", "BALSON-IS", "BALSON-RSIRS", "BALSON-ISIRS")
+BALSON_METHODS = tuple(f"BALSON-{m}" for m in METHODS)
 ALL_METHODS = BASELINE_METHODS + BALSON_METHODS
 
 
@@ -273,9 +273,17 @@ def config_echo(cfg: ExperimentConfig) -> dict:
     return echo
 
 
-def _build(cls, raw: dict, what: str):
-    """``cls(**raw)``, or a ValueError that names the keys ``cls`` has no field for."""
-    unknown = set(raw) - {f.name for f in dataclasses.fields(cls)}
+def _object(raw, what: str) -> dict:
+    """A copy of ``raw``, or a ValueError if it is not a JSON object."""
+    if not isinstance(raw, dict):
+        raise ValueError(f"{what} must be a JSON object")
+    return dict(raw)
+
+
+def _build(cls, raw, what: str):
+    """``cls(**raw)``, or a ValueError if ``raw`` is not an object or has keys
+    that ``cls`` has no field for."""
+    unknown = set(_object(raw, what)) - {f.name for f in dataclasses.fields(cls)}
     if unknown:
         raise ValueError(f"unknown {what} keys: {sorted(unknown)}")
     return cls(**raw)
@@ -283,11 +291,11 @@ def _build(cls, raw: dict, what: str):
 
 def config_from_mapping(raw: dict) -> ExperimentConfig:
     """Build a config from parsed JSON; omitted fields keep benchmark defaults."""
-    raw = dict(raw)
+    raw = _object(raw, "config")
     if "sampler" in raw:
         raw["sampler"] = _build(SamplerConfig, raw["sampler"], "sampler config")
     if "baselines" in raw:
-        nested = dict(raw["baselines"])
+        nested = _object(raw["baselines"], "baseline config")
         if "lasso" in nested:
             warnings.warn(
                 'the "lasso" baseline key is deprecated and ignored: LASSO runs on the '

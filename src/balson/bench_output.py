@@ -71,14 +71,14 @@ def write_outputs(table, summary, out: Path, svg: bool) -> list[Path]:
         ("pvalues_mse.csv", summary.pvalues_mse),
         ("pvalues_sparsity.csv", summary.pvalues_sparsity),
     ):
-        baselines = sorted({b for row in matrix.values() for b in row}) if matrix else []
-        ordered = [b for b in ("LASSO", "IP", "BayesianLASSO") if b in baselines]
+        # Every row holds the same baselines, in the order summarize tests them.
+        baselines = list(next(iter(matrix.values()), {}))
         path = out / name
         _write_csv(
             path,
-            ["method", *ordered],
+            ["method", *baselines],
             [
-                [variant, *("degenerate" if row.get(b) is None else _cell(row.get(b)) for b in ordered)]
+                [variant, *("degenerate" if row[b] is None else _cell(row[b]) for b in baselines)]
                 for variant, row in matrix.items()
             ],
         )

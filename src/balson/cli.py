@@ -18,7 +18,7 @@ from .dirichlet import DirichletParams, match_moments, moments, sample_batch
 from .exceptions import BalsonError
 from .model import Dataset, ModelSpec
 from .samplers import DEFAULT_RESAMPLE_ROUNDS, DEFAULT_SAMPLE_COUNT, SamplerConfig
-from .solver import BalsonConfig, FitReport, solve, uniform_prior
+from .solver import METHODS, BalsonConfig, FitReport, solve, uniform_prior
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -43,7 +43,7 @@ def _build_parser() -> _Parser:
     fit.add_argument("--input", required=True, help="CSV with header x,y")
     fit.add_argument("--order", required=True, type=int)
     fit.add_argument("--budget", type=float, default=1.0)
-    fit.add_argument("--method", required=True, choices=("rs", "is", "rsirs", "isirs"))
+    fit.add_argument("--method", required=True, choices=[m.lower() for m in METHODS])
     fit.add_argument("--samples", type=int, default=DEFAULT_SAMPLE_COUNT)
     fit.add_argument("--rounds", type=int, default=DEFAULT_RESAMPLE_ROUNDS)
     fit.add_argument("--seed", type=int, default=0)
@@ -140,9 +140,9 @@ def _cmd_bench(args) -> int:
             raw = json.load(handle)
         except json.JSONDecodeError as err:
             raise _UsageError(f"{args.config}: invalid JSON: {err}") from err
-    if args.workers is not None:
-        raw["workers"] = args.workers
     cfg = config_from_mapping(raw)
+    if args.workers is not None:
+        cfg = dataclasses.replace(cfg, workers=args.workers)
     out_dir = args.out_dir or cfg.out_dir
     if out_dir is None:
         raise _UsageError("an output directory is required (--out-dir or config out_dir)")

@@ -5,9 +5,11 @@ importance-resampling variants that re-fit the Dirichlet proposal over R
 refinement rounds. All schemes are deterministic given the configured seed;
 round ``i`` always consumes the substream ``default_rng([seed, i])``.
 
-All four are one loop, :func:`_iterated`: RS and IS are its round 0 alone.
-Every solve builds one :class:`Problem`, its residual form and budget C, and
-passes it to every round. The RS envelope floor is a lazy property of the
+All four are one public loop, :func:`fit_posterior`, and :data:`SCHEMES`
+holds each scheme's settings of it: round 0's kernel, and whether
+refinement rounds follow. RS and IS are its round 0 alone. Every solve
+builds one :class:`Problem`, its residual form and budget C, and passes it
+to every round. The RS envelope floor is a lazy property of the
 problem, taken once, on the first rejection pass, so a scheme that starts
 with importance sampling never pays for it.
 
@@ -36,6 +38,9 @@ DEFAULT_SAMPLE_COUNT = 10_000
 DEFAULT_RESAMPLE_ROUNDS = 100
 PROPOSAL_BUDGET_FACTOR = 1000
 _CHUNK = 50_000
+# The four schemes: name -> (round 0's kernel, whether R refinement rounds
+# follow). The order is the schemes' order everywhere, bench seeds included.
+SCHEMES = {"RS": ("rs", False), "IS": ("is", False), "RSIRS": ("rs", True), "ISIRS": ("is", True)}
 
 
 @dataclass(frozen=True)
@@ -347,26 +352,25 @@ def weighted_moments(
     return mean, variance
 
 
-def _iterated(
-    problem: Problem,
-    prior: DirichletParams,
-    cfg: SamplerConfig,
-    first: str,
-    trace: list[RoundRecord] | None = None,
-    refine: bool = True,
-) -> DirichletParams:
-    """The sampling loop of all four schemes; returns the last moment-matched fit.
+def fit_posterior(
+    problem: Problem, prior: DirichletParams, cfg: SamplerConfig, method: str
+) -> tuple[DirichletParams, list[RoundRecord]]:
+    """The sampling loop of all four schemes; returns the last fit and the round trace.
 
-    Round 0 runs ``first`` ("rs" or "is") against ``prior``, and each of the
-    R = ``cfg.resample_rounds`` refinement rounds importance-samples from the
-    previous round's fit. With ``refine=False`` round 0 runs alone, which is
-    the RS or IS scheme, and its errors carry no round prefix.
+    ``method`` names a scheme of :data:`SCHEMES`. Round 0 runs the scheme's
+    kernel ("rs" or "is") against ``prior`` and moment-matches a Dirichlet
+    to its samples. A refining scheme then runs R = ``cfg.resample_rounds``
+    rounds, each importance-sampling from the previous round's fit and
+    matching again; its errors carry the round. RS and IS are round 0 alone.
+    The trace holds one :class:`RoundRecord` per round run.
     """
+    first, refine = SCHEMES[method]
     rows = cfg.sample_count
     if first == "rs":
         rows = max(rows, min(_CHUNK, cfg.max_proposals))
     ws = _Workspace(rows, len(prior))
     alpha = prior
+    trace = []
     for rnd in range(cfg.resample_rounds + 1 if refine else 1):
         rng = round_rng(cfg.seed, rnd)
         kind = first if rnd == 0 else "is"
@@ -387,43 +391,14 @@ def _iterated(
             if not refine:
                 raise
             raise type(err)(f"resampling round {rnd}: {err}") from err
-        if trace is not None:
-            trace.append(
-                RoundRecord(
-                    index=rnd,
-                    kind=kind,
-                    ess=batch.ess,
-                    acceptance_rate=batch.acceptance_rate,
-                    proposals=batch.proposals,
-                    alpha=alpha.alpha.copy(),
-                )
+        trace.append(
+            RoundRecord(
+                index=rnd,
+                kind=kind,
+                ess=batch.ess,
+                acceptance_rate=batch.acceptance_rate,
+                proposals=batch.proposals,
+                alpha=alpha.alpha.copy(),
             )
-    return alpha
-
-
-def rsirs(
-    data: Dataset,
-    prior: DirichletParams,
-    spec: ModelSpec,
-    cfg: SamplerConfig,
-    trace: list[RoundRecord] | None = None,
-) -> DirichletParams:
-    """Rejection pass, then R importance-refinement rounds.
-
-    Round 0 rejection-samples against the prior and moment-matches the result;
-    each later round importance-samples with proposal and prior both set to
-    the previous round's Dirichlet fit, then moment-matches again. Returns the
-    final concentration vector.
-    """
-    return _iterated(Problem.of(data, prior, spec), prior, cfg, "rs", trace)
-
-
-def isirs(
-    data: Dataset,
-    prior: DirichletParams,
-    spec: ModelSpec,
-    cfg: SamplerConfig,
-    trace: list[RoundRecord] | None = None,
-) -> DirichletParams:
-    """Same refinement loop as :func:`rsirs` but round 0 is an importance pass."""
-    return _iterated(Problem.of(data, prior, spec), prior, cfg, "is", trace)
+        )
+    return alpha, trace

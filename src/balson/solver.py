@@ -1,8 +1,9 @@
 """End-to-end solver: dataset in, budgeted nonnegative coefficients out.
 
-Pipeline: build the solve's :class:`~balson.samplers.Problem`, run the
-selected Monte-Carlo scheme on it, moment-match a Dirichlet to the posterior
-samples, take its sparse mode, and rescale back to the coefficient budget.
+Pipeline: build the solve's :class:`~balson.samplers.Problem`, run
+:func:`~balson.samplers.fit_posterior`, the sampling loop, at the selected
+scheme of :data:`~balson.samplers.SCHEMES`, take the sparse mode of the
+Dirichlet it fits, and rescale back to the coefficient budget.
 The problem takes the RS envelope floor lazily, on the first rejection pass,
 so IS and ISIRS never compute it. The signed entry point covers ordinary L1
 problems through the split reduction, whose residual form is built from the
@@ -19,9 +20,9 @@ import numpy as np
 from .dirichlet import DirichletParams, SimplexVector, mode
 from .exceptions import ModeUndefinedError
 from .model import Dataset, ModelSpec, ParameterVector, merge_signed, rescale
-from .samplers import Problem, RoundRecord, SamplerConfig, _iterated
+from .samplers import SCHEMES, Problem, SamplerConfig, fit_posterior
 
-METHODS = ("RS", "IS", "RSIRS", "ISIRS")
+METHODS = tuple(SCHEMES)
 
 
 def uniform_prior(k: int) -> DirichletParams:
@@ -73,10 +74,7 @@ def _solve_design(problem: Problem, *, cfg: BalsonConfig) -> FitReport:
     ``cfg`` is keyword-only: perfbench's tracer reads it by that name.
     """
     started = time.perf_counter()
-    trace: list[RoundRecord] = []
-    first = "rs" if cfg.method in ("RS", "RSIRS") else "is"
-    refine = cfg.method in ("RSIRS", "ISIRS")
-    alpha_star = _iterated(problem, cfg.prior, cfg.sampler, first, trace, refine)
+    alpha_star, trace = fit_posterior(problem, cfg.prior, cfg.sampler, cfg.method)
     try:
         omega_star = mode(alpha_star)
         fallback = False

@@ -18,24 +18,29 @@ def csv_path(tmp_path):
     return path
 
 
-def fit_args(csv_path, tmp_path, *extra):
+def fit_args(csv_path, tmp_path, *extra, method="is"):
     return [
         "fit",
         "--input", str(csv_path),
         "--order", "2",
-        "--method", "is",
+        "--method", method,
         "--samples", "200",
         "--output", str(tmp_path / "report.json"),
         *extra,
     ]
 
 
-def test_success(csv_path, tmp_path):
-    assert cli.main(fit_args(csv_path, tmp_path)) == cli.EXIT_OK
+@pytest.mark.parametrize("method", ["rs", "is", "rsirs", "isirs"])
+def test_success(csv_path, tmp_path, method):
+    assert cli.main(fit_args(csv_path, tmp_path, "--rounds", "2", method=method)) == cli.EXIT_OK
     report = json.loads((tmp_path / "report.json").read_text())
+    diagnostics = report["diagnostics"]
     assert len(report["theta_star"]) == 2
-    assert report["diagnostics"]["proposals"] == 200  # IS draws L = 200
-    assert set(report["diagnostics"]) == {
+    assert diagnostics["method"] == method.upper()
+    assert len(diagnostics["ess_per_round"]) == (3 if method.endswith("irs") else 1)
+    if method.startswith("is"):
+        assert diagnostics["proposals"] == 200  # IS draws L = 200
+    assert set(diagnostics) == {
         "method",
         "prior_alpha",
         "acceptance_rate",
@@ -117,6 +122,28 @@ def test_bench_misspelt_nested_key(tmp_path, capsys, raw, key):
     assert cli.main(["bench", "--config", str(config), "--out-dir", str(tmp_path / "out")]) == cli.EXIT_USAGE
     err = capsys.readouterr().err
     assert err.startswith("usage error:") and repr(key) in err
+
+
+@pytest.mark.parametrize(
+    "raw, extra",
+    [
+        ({"sampler": 5}, []),
+        ({"sampler": None}, []),
+        ({"baselines": 5}, []),
+        ({"baselines": {"ip": 5}}, []),
+        ({"baselines": {"gibbs": [1]}}, []),
+        ([], []),
+        ([], ["--workers", "2"]),
+    ],
+)
+def test_bench_section_not_an_object(tmp_path, capsys, raw, extra):
+    config = tmp_path / "bench.json"
+    config.write_text(json.dumps(raw))
+    argv = ["bench", "--config", str(config), "--out-dir", str(tmp_path / "out"), *extra]
+    assert cli.main(argv) == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("usage error:") and "must be a JSON object" in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_sample_diag(capsys):

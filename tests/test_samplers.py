@@ -16,18 +16,16 @@ from balson import (
     WeightedSampleSet,
     design_matrix,
     importance_sample,
-    isirs,
     lasso_fit,
     match_moments_per_dim,
     moments,
     normalize_log_weights,
     rejection_sample,
-    rsirs,
     uniform_prior,
     weighted_moments,
 )
 from balson.model import ResidualForm
-from balson.samplers import min_rss, round_rng
+from balson.samplers import Problem, fit_posterior, min_rss, round_rng
 from conftest import quadrature_posterior_k2, weighted_se_mean
 
 EMPTY = Dataset(np.array([]), np.array([]))
@@ -315,13 +313,16 @@ class TestNormalizeLogWeights:
             normalize_log_weights(np.array([0.0, np.nan]))
 
 
+def fit_scheme(method, data, prior, spec, cfg):
+    return fit_posterior(Problem.of(data, prior, spec), prior, cfg, method)
+
+
 class TestIteratedSchemes:
     def test_empty_dataset_fixed_point(self):
         prior = DirichletParams([2.0, 3.0, 4.0])
         cfg = SamplerConfig(sample_count=20_000, resample_rounds=3, seed=15)
-        for scheme in (rsirs, isirs):
-            trace = []
-            final = scheme(EMPTY, prior, ModelSpec(3, 1.0), cfg, trace=trace)
+        for method in ("RSIRS", "ISIRS"):
+            final, trace = fit_scheme(method, EMPTY, prior, ModelSpec(3, 1.0), cfg)
             assert len(trace) == 4
             for record in trace:
                 rel = np.abs(record.alpha - prior.alpha) / prior.alpha
@@ -333,7 +334,7 @@ class TestIteratedSchemes:
         spec = ModelSpec(3, 1.0)
         prior = uniform_prior(3)
         cfg = SamplerConfig(sample_count=2000, resample_rounds=1, seed=33)
-        via_scheme = rsirs(data, prior, spec, cfg)
+        via_scheme, _ = fit_scheme("RSIRS", data, prior, spec, cfg)
 
         first = rejection_sample(data, prior, spec, cfg, rng=round_rng(cfg.seed, 0))
         alpha0 = match_moments_per_dim(*weighted_moments(first))
@@ -346,13 +347,13 @@ class TestIteratedSchemes:
         data = Dataset(x, np.full(30, 10.0))
         cfg = SamplerConfig(sample_count=100, max_proposals=100, resample_rounds=1, seed=0)
         with pytest.raises(RejectionBudgetError, match="round 0"):
-            rsirs(data, uniform_prior(2), ModelSpec(2, 1.0), cfg)
+            fit_scheme("RSIRS", data, uniform_prior(2), ModelSpec(2, 1.0), cfg)
 
     def test_deterministic(self):
         data = noisy_dataset(3, 20, seed=8)
         cfg = SamplerConfig(sample_count=500, resample_rounds=4, seed=21)
-        a = isirs(data, uniform_prior(3), ModelSpec(3, 1.0), cfg)
-        b = isirs(data, uniform_prior(3), ModelSpec(3, 1.0), cfg)
+        a, _ = fit_scheme("ISIRS", data, uniform_prior(3), ModelSpec(3, 1.0), cfg)
+        b, _ = fit_scheme("ISIRS", data, uniform_prior(3), ModelSpec(3, 1.0), cfg)
         np.testing.assert_array_equal(a.alpha, b.alpha)
 
 

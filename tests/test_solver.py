@@ -22,6 +22,7 @@ from balson import samplers
 from balson.bench import PAPER_THETA, ExperimentConfig, generate_dataset, method_seed
 from balson.exceptions import BalsonError, MomentMatchingError
 from balson.model import ResidualForm, predict
+from balson.solver import METHODS
 
 N_BIG = 20_000
 MAX_PROPOSALS = 2_000  # one chunk: below samplers._CHUNK
@@ -228,6 +229,24 @@ class TestBackToBack:
         assert again.alpha_star.alpha.tobytes() == first.alpha_star.alpha.tobytes()
         untimed = [dataclasses.replace(r.diagnostics, wall_clock_s=0.0) for r in (first, again)]
         assert untimed[0] == untimed[1]
+
+
+class TestSolveIsTheLoopPlusTheMode:
+    @pytest.mark.parametrize("method", METHODS)
+    def test_fields_come_from_the_trace(self, method):
+        data, cfg = paper_like(100), config(method, sample_count=300)
+        report = solve(data, cfg)
+        problem = samplers.Problem.of(data, cfg.prior, cfg.spec)
+        alpha, trace = samplers.fit_posterior(problem, cfg.prior, cfg.sampler, method)
+        diag = report.diagnostics
+        assert report.alpha_star.alpha.tobytes() == alpha.alpha.tobytes()
+        assert diag.ess_per_round == tuple(r.ess for r in trace)
+        assert diag.alpha0_trajectory == tuple(float(r.alpha.sum()) for r in trace)
+        assert (diag.acceptance_rate, diag.proposals) == (trace[0].acceptance_rate, trace[0].proposals)
+
+    def test_unknown_method(self):
+        with pytest.raises(ValueError, match="method must be one of"):
+            config("IRS")
 
 
 class TestOverflowingBasis:
