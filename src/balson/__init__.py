@@ -33,11 +33,9 @@ from .dirichlet import (
     DirichletParams,
     SimplexVector,
     log_density,
-    match_moments,
     match_moments_per_dim,
     mode,
     moments,
-    sample,
     sample_batch,
 )
 from .exceptions import (
@@ -54,7 +52,6 @@ from .model import (
     Dataset,
     ModelSpec,
     ParameterVector,
-    basis,
     design_matrix,
     log_likelihood,
     log_posterior_unnorm,
@@ -103,7 +100,6 @@ __all__ = [
     "Summary",
     "UnboundedDensityError",
     "WeightedSampleSet",
-    "basis",
     "bayesian_lasso_fit",
     "design_matrix",
     "emit_outputs",
@@ -116,7 +112,6 @@ __all__ = [
     "log_density",
     "log_likelihood",
     "log_posterior_unnorm",
-    "match_moments",
     "match_moments_per_dim",
     "merge_signed",
     "mode",
@@ -128,7 +123,6 @@ __all__ = [
     "rejection_sample",
     "rescale",
     "run_experiment",
-    "sample",
     "sample_batch",
     "solve",
     "solve_signed",

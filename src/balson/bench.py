@@ -281,12 +281,15 @@ def _object(raw, what: str) -> dict:
 
 
 def _build(cls, raw, what: str):
-    """``cls(**raw)``, or a ValueError if ``raw`` is not an object or has keys
-    that ``cls`` has no field for."""
+    """``cls(**raw)``, or a ValueError if ``raw`` is not an object, has keys
+    that ``cls`` has no field for, or holds a value of the wrong JSON type."""
     unknown = set(_object(raw, what)) - {f.name for f in dataclasses.fields(cls)}
     if unknown:
         raise ValueError(f"unknown {what} keys: {sorted(unknown)}")
-    return cls(**raw)
+    try:
+        return cls(**raw)
+    except TypeError as err:
+        raise ValueError(f"{what}: {err}") from err
 
 
 def config_from_mapping(raw: dict) -> ExperimentConfig:
@@ -309,9 +312,6 @@ def config_from_mapping(raw: dict) -> ExperimentConfig:
                 what = f"baselines.{section.name} config"
                 nested[section.name] = _build(section.default_factory, nested[section.name], what)
         raw["baselines"] = _build(BaselineConfig, nested, "baseline config")
-    for key in ("true_theta", "methods"):
-        if key in raw:
-            raw[key] = tuple(raw[key])
     return _build(ExperimentConfig, raw, "config")
 
 

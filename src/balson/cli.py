@@ -14,7 +14,7 @@ import sys
 import numpy as np
 
 from .bench import config_from_mapping, emit_outputs, run_experiment, summarize
-from .dirichlet import DirichletParams, match_moments, moments, sample_batch
+from .dirichlet import DirichletParams, match_moments_per_dim, moments, sample_batch
 from .exceptions import BalsonError
 from .model import Dataset, ModelSpec
 from .samplers import DEFAULT_RESAMPLE_ROUNDS, DEFAULT_SAMPLE_COUNT, SamplerConfig
@@ -172,7 +172,7 @@ def _cmd_sample_diag(args) -> int:
     mean_hat = draws.mean(axis=0)
     var_hat = draws.var(axis=0)
     mean_true, var_true = moments(prior)
-    recovered = match_moments(mean_hat, var_hat)
+    recovered = match_moments_per_dim(mean_hat, var_hat)
     print(f"prior alpha: {[float(a) for a in prior.alpha]}  draws: {args.samples}")
     print(f"{'dim':>4s} {'mean':>12s} {'mean_hat':>12s} {'var':>12s} {'var_hat':>12s} {'alpha_hat':>12s}")
     for i in range(args.order):

@@ -125,11 +125,6 @@ def sample_batch(
     return np.divide(draws, totals[:, None], out=draws)
 
 
-def sample(params: DirichletParams, rng: np.random.Generator) -> SimplexVector:
-    """Draw one point from Dir(alpha)."""
-    return SimplexVector(sample_batch(params, rng, 1)[0])
-
-
 def moments(params: DirichletParams) -> tuple[np.ndarray, np.ndarray]:
     """Analytic mean and variance per component.
 
@@ -143,52 +138,17 @@ def moments(params: DirichletParams) -> tuple[np.ndarray, np.ndarray]:
     return mean, variance
 
 
-def match_moments(mean, variance) -> DirichletParams:
-    """Recover concentrations from first and second moments.
-
-    Each dimension gives an estimate alpha0_i = m_i (1 - m_i) / v_i - 1 of the
-    total concentration; the estimates are averaged over dimensions that are
-    usable (variance >= 1e-12, mean away from the simplex corners, estimate
-    finite and positive). Exact on analytic Dirichlet moments.
-    """
-    m, v = _checked_moment_inputs(mean, variance)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        estimates = m * (1.0 - m) / v - 1.0
-    usable = (
-        np.isfinite(estimates)
-        & (estimates > 0.0)
-        & (v >= 1e-12)
-        & (m > 1e-9)
-        & (m < 1.0 - 1e-9)
-    )
-    if not usable.any():
-        raise MomentMatchingError("moment matching degenerate: no usable dimension")
-    alpha0 = float(estimates[usable].mean())
-    alpha = np.maximum(alpha0 * m, ALPHA_FLOOR)
-    return DirichletParams(alpha)
-
-
 def match_moments_per_dim(mean, variance) -> DirichletParams:
     """Recover concentrations dimension by dimension: alpha_i = m_i alpha0_i.
 
-    Unlike :func:`match_moments` no single total concentration is enforced,
-    so anisotropy in the moments survives: dimensions whose variance implies
+    Each dimension's mean and variance give its own total concentration
+    alpha0_i = m_i (1 - m_i) / v_i - 1; no single total is enforced, so
+    anisotropy in the moments survives: dimensions whose variance implies
     low concentration keep small alpha_i (possibly below one) while tightly
-    determined dimensions grow large. Agrees with :func:`match_moments`
-    exactly on analytic Dirichlet moments. Dimensions with unusable
+    determined dimensions grow large. On analytic Dirichlet moments every
+    alpha0_i equals alpha0, so the fit is exact. Dimensions with unusable
     estimates fall to the positivity floor.
     """
-    m, v = _checked_moment_inputs(mean, variance)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        alpha = m * (m * (1.0 - m) / v - 1.0)
-    usable = np.isfinite(alpha) & (alpha > 0.0)
-    if not usable.any():
-        raise MomentMatchingError("moment matching degenerate: no usable dimension")
-    alpha = np.where(usable, alpha, ALPHA_FLOOR)
-    return DirichletParams(np.clip(alpha, ALPHA_FLOOR, 1e14))
-
-
-def _checked_moment_inputs(mean, variance) -> tuple[np.ndarray, np.ndarray]:
     m = np.asarray(mean, dtype=np.float64)
     v = np.asarray(variance, dtype=np.float64)
     if m.shape != v.shape or m.ndim != 1 or m.shape[0] < 2:
@@ -198,7 +158,14 @@ def _checked_moment_inputs(mean, variance) -> tuple[np.ndarray, np.ndarray]:
     total = float(m.sum())
     if abs(total - 1.0) > 1e-6:
         raise ValueError("means must sum to 1 within 1e-6")
-    return m / total, v
+    m = m / total
+    with np.errstate(divide="ignore", invalid="ignore"):
+        alpha = m * (m * (1.0 - m) / v - 1.0)
+    usable = np.isfinite(alpha) & (alpha > 0.0)
+    if not usable.any():
+        raise MomentMatchingError("moment matching degenerate: no usable dimension")
+    alpha = np.where(usable, alpha, ALPHA_FLOOR)
+    return DirichletParams(np.clip(alpha, ALPHA_FLOOR, 1e14))
 
 
 def mode(params: DirichletParams) -> SimplexVector:

@@ -172,17 +172,14 @@ def normalize_log_weights(log_weights: np.ndarray) -> tuple[np.ndarray, float]:
     """Shift by the max, exponentiate, normalize; returns (weights, ess).
 
     The shift makes the largest weight exactly 1 before normalization, so the
-    result (and the effective sample size 1 / sum w^2) is invariant to adding
-    any constant to the log weights.
+    sum is at least 1, and the result (and the effective sample size
+    1 / sum w^2) is invariant to adding any constant to the log weights.
     """
     log_weights = np.asarray(log_weights, dtype=np.float64)
     if not np.all(np.isfinite(log_weights)):
         raise BalsonError("non-finite log weight encountered")
     shifted = np.exp(log_weights - log_weights.max())
-    total = float(shifted.sum())
-    if total <= 0.0:
-        raise BalsonError("all importance weights vanished after stabilization")
-    weights = shifted / total
+    weights = shifted / float(shifted.sum())
     ess = 1.0 / float(weights @ weights)
     return weights, ess
 

@@ -21,6 +21,32 @@ def direct_rss(theta, xs, ys):
     return total
 
 
+def grid_min_rss(xs, ys, order, budget=1.0, signed=False, steps=200):
+    """Brute-force minimum RSS over a grid of the feasible coefficients.
+
+    The feasible set is the scaled simplex {theta >= 0, sum theta = budget},
+    or with ``signed`` the L1 ball {sum |theta| <= budget}; the grid steps by
+    budget / steps in every coordinate. Residuals are summed directly from
+    the powers x^k, chunk by chunk over the grid.
+    """
+    if signed:
+        axes = np.meshgrid(*[np.arange(-steps, steps + 1)] * order, indexing="ij")
+        units = np.stack([a.ravel() for a in axes], axis=1)
+        units = units[np.abs(units).sum(axis=1) <= steps]
+    else:
+        axes = np.meshgrid(*[np.arange(steps + 1)] * (order - 1), indexing="ij")
+        head = np.stack([a.ravel() for a in axes], axis=1)
+        head = head[head.sum(axis=1) <= steps]
+        units = np.concatenate([head, steps - head.sum(axis=1, keepdims=True)], axis=1)
+    thetas = budget * units / steps
+    powers = np.asarray(xs, dtype=float)[:, None] ** np.arange(order)
+    best = np.inf
+    for start in range(0, thetas.shape[0], 10_000):
+        resid = np.asarray(ys, dtype=float) - thetas[start : start + 10_000] @ powers.T
+        best = min(best, float(np.einsum("ij,ij->i", resid, resid).min()))
+    return best
+
+
 def quadrature_posterior_k2(data: Dataset, alpha, budget=1.0, nodes=10_000):
     """Midpoint-rule moments of the normalized (likelihood x prior) density, K=2.
 

@@ -146,6 +146,25 @@ def test_bench_section_not_an_object(tmp_path, capsys, raw, extra):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize(
+    "raw",
+    [
+        {"true_theta": 5},
+        {"n_train": "x"},
+        {"sampler": {"sample_count": "x"}},
+        {"methods": ["BALSON-RS", ["x"]]},
+        {"baselines": {"gibbs": {"iterations": "x"}}},
+        {"repetitions": None},
+    ],
+)
+def test_bench_value_of_the_wrong_type(tmp_path, capsys, raw):
+    config = tmp_path / "bench.json"
+    config.write_text(json.dumps(raw))
+    assert cli.main(["bench", "--config", str(config), "--out-dir", str(tmp_path / "out")]) == cli.EXIT_USAGE
+    assert capsys.readouterr().err.startswith("usage error:")
+    assert not (tmp_path / "out").exists()
+
+
 def test_sample_diag(capsys):
     assert cli.main(["sample-diag", "--order", "3", "--samples", "1000"]) == cli.EXIT_OK
     rows = capsys.readouterr().out.splitlines()[2:]
@@ -155,3 +174,11 @@ def test_sample_diag(capsys):
 def test_sample_diag_too_few_samples(capsys):
     assert cli.main(["sample-diag", "--order", "3", "--samples", "50"]) == cli.EXIT_USAGE
     assert "usage error" in capsys.readouterr().err
+
+
+def test_sample_diag_recovers_the_prior(capsys):
+    argv = ["sample-diag", "--order", "3", "--prior", "2,3,4", "--samples", "100000"]
+    assert cli.main(argv) == cli.EXIT_OK
+    rows = capsys.readouterr().out.splitlines()[2:]
+    alpha_hat = np.array([float(row.split()[-1]) for row in rows])
+    np.testing.assert_allclose(alpha_hat, [2.0, 3.0, 4.0], rtol=0.05)

@@ -10,7 +10,6 @@ from balson import (
     ParameterVector,
     SimplexVector,
     UnboundedDensityError,
-    basis,
     design_matrix,
     log_density,
     log_likelihood,
@@ -46,21 +45,46 @@ class TestTypes:
             ParameterVector(np.array([1.0, np.inf]))
 
 
+def column_loop(xs, order):
+    """The monomial design built column by column, each column the previous times x."""
+    xs = np.asarray(xs, dtype=np.float64)
+    cols = np.empty((xs.shape[0], order), dtype=np.float64)
+    if xs.shape[0] == 0:
+        return cols
+    cols[:, 0] = 1.0
+    for i in range(1, order):
+        cols[:, i] = cols[:, i - 1] * xs
+    return cols
+
+
 class TestBasis:
+    """Rows of the monomial design [1, x, ..., x^(K-1)]."""
+
     def test_direct_powers(self):
-        np.testing.assert_allclose(basis(0.5, 3), [1.0, 0.5, 0.25])
+        np.testing.assert_allclose(design_matrix([0.5], 3)[0], [1.0, 0.5, 0.25])
 
     def test_zero_input(self):
-        np.testing.assert_allclose(basis(0.0, 4), [1.0, 0.0, 0.0, 0.0])
+        np.testing.assert_allclose(design_matrix([0.0], 4)[0], [1.0, 0.0, 0.0, 0.0])
 
     def test_unit_input(self):
-        np.testing.assert_allclose(basis(1.0, 5), np.ones(5))
+        np.testing.assert_allclose(design_matrix([1.0], 5)[0], np.ones(5))
 
     def test_design_matrix_rows(self, rng):
         xs = rng.uniform(-2, 2, 20)
         design = design_matrix(xs, 4)
+        assert design.shape == (20, 4) and design.dtype == np.float64
         for i, x in enumerate(xs):
-            np.testing.assert_allclose(design[i], basis(x, 4), rtol=1e-15)
+            np.testing.assert_allclose(design[i], [1.0, x, x**2, x**3], rtol=1e-15)
+
+    @pytest.mark.parametrize("n", [0, 1, 7, 100, 1000, 100_000])
+    @pytest.mark.parametrize("order", [1, 2, 5, 10, 20])
+    def test_same_bits_as_the_column_loop(self, n, order):
+        # The bench datasets and every fit's statistics rest on these bits.
+        rng = np.random.default_rng([n, order])
+        for xs in (rng.uniform(0.0, 1.0, n), rng.uniform(-1.0, 1.0, n), rng.normal(0.0, 10.0, n)):
+            design = design_matrix(xs, order)
+            assert design.shape == (n, order) and design.flags.c_contiguous
+            assert design.tobytes() == column_loop(xs, order).tobytes()
 
 
 class TestPredict:
@@ -84,6 +108,14 @@ class TestPredict:
     def test_vectorized_input(self):
         xs = np.array([0.0, 0.5, 1.0])
         np.testing.assert_allclose(predict([1.0, 1.0], xs), [1.0, 1.5, 2.0])
+
+    def test_scalar_is_the_array_path_unwrapped(self, rng):
+        theta = rng.uniform(-1, 1, 5)
+        xs = rng.uniform(-2, 2, 10)
+        values = [predict(theta, x) for x in xs]
+        assert all(type(v) is float for v in values)
+        assert values == [predict(theta, np.array([x]))[0] for x in xs]
+        np.testing.assert_allclose(values, predict(theta, xs), rtol=1e-12)
 
 
 class TestLogLikelihood:

@@ -5,6 +5,7 @@ import dataclasses
 
 import numpy as np
 import pytest
+from scipy.special import gammainccinv
 
 from balson import (
     BalsonConfig,
@@ -23,6 +24,7 @@ from balson.bench import PAPER_THETA, ExperimentConfig, generate_dataset, method
 from balson.exceptions import BalsonError, MomentMatchingError
 from balson.model import ResidualForm, predict
 from balson.solver import METHODS
+from conftest import direct_rss, grid_min_rss
 
 N_BIG = 20_000
 MAX_PROPOSALS = 2_000  # one chunk: below samplers._CHUNK
@@ -292,3 +294,54 @@ class TestSolveSigned:
         cfg = BalsonConfig("IS", uniform_prior(2), ModelSpec(2, self.BUDGET), SamplerConfig())
         with pytest.raises(ValueError, match="twice the signed order"):
             solve_signed(data, cfg)
+
+
+# name -> (true theta, signed); N points on [0, 1], or on [-1, 1] when signed.
+BRUTE_FORCE_PROBLEMS = {
+    "k2": ((0.3, 0.7), False),
+    "k3": ((0.2, 0.0, 0.8), False),
+    "k2_signed": ((0.6, -0.3), True),
+}
+
+
+def brute_force_problem(name, seed):
+    """The problem's data at a noise seed, and its grid minimum RSS."""
+    truth, signed = BRUTE_FORCE_PROBLEMS[name]
+    xs = np.linspace(-1.0 if signed else 0.0, 1.0, 200)
+    ys = predict(np.asarray(truth), xs) + np.random.default_rng([seed]).standard_normal(200)
+    return Dataset(xs, ys), grid_min_rss(xs, ys, len(truth), signed=signed)
+
+
+class TestAgainstBruteForce:
+    """Every scheme's fit has an RSS close to the brute-force constrained minimum.
+
+    The bound on the excess is twice the 1 - 1e-9 quantile of Gamma(d, 1),
+    with d the sampled dimensions less one. Under the flat prior the
+    posterior is proportional to exp(-RSS / 2), a log-concave density on a
+    d-dimensional simplex, and the excess of such a density's -log over its
+    minimum concentrates at scale d (Bobkov & Madiman 2011; Fradelizi,
+    Madiman & Wang 2016).
+    """
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("method", METHODS)
+    @pytest.mark.parametrize("name", list(BRUTE_FORCE_PROBLEMS))
+    def test_rss_excess_within_the_gamma_quantile(self, name, method, seed):
+        truth, signed = BRUTE_FORCE_PROBLEMS[name]
+        order = len(truth)
+        width = 2 * order if signed else order
+        data, floor = brute_force_problem(name, seed)
+        cfg = BalsonConfig(
+            method,
+            uniform_prior(width),
+            ModelSpec(order, 1.0),
+            SamplerConfig(sample_count=2000, resample_rounds=10, seed=seed),
+        )
+        if signed:
+            theta = solve_signed(data, cfg)
+            assert np.abs(theta).sum() <= 1.0 + 1e-9
+        else:
+            theta = solve(data, cfg).theta_star.theta
+            assert np.all(theta >= 0.0) and theta.sum() == pytest.approx(1.0, abs=1e-9)
+        excess = direct_rss(theta, data.inputs, data.targets) - floor
+        assert excess <= 2.0 * gammainccinv(width - 1, 1e-9)
