@@ -25,7 +25,15 @@ import numpy as np
 from scipy.linalg.lapack import dpotrf, dpotrs, dtrtrs
 
 from .exceptions import BalsonError
-from .model import Dataset, ModelSpec, ParameterVector, ResidualForm, design_matrix, merge_signed
+from .model import (
+    Dataset,
+    ModelSpec,
+    ParameterVector,
+    ResidualForm,
+    design_matrix,
+    integral,
+    merge_signed,
+)
 
 
 @dataclass(frozen=True)
@@ -82,6 +90,8 @@ class GibbsParams:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("iterations", "burn_in", "seed"):
+            object.__setattr__(self, name, integral(getattr(self, name), name))
         if self.iterations <= self.burn_in:
             raise ValueError("iterations must exceed burn_in")
         if self.hyper_shape <= 0.0 or self.hyper_rate <= 0.0:

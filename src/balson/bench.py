@@ -24,7 +24,7 @@ from .baselines import BaselineConfig, bayesian_lasso_fit, ip_fit, lasso_fit
 from .bench_output import write_outputs
 from .exceptions import BalsonError, DegenerateStatisticError
 from .metrics import mse, paired_t_test, sparsity
-from .model import Dataset, ModelSpec, predict
+from .model import Dataset, ModelSpec, integral, predict
 from .samplers import SamplerConfig
 from .solver import METHODS, BalsonConfig, solve, uniform_prior
 
@@ -54,6 +54,8 @@ class ExperimentConfig:
         theta = tuple(float(t) for t in self.true_theta)
         object.__setattr__(self, "true_theta", theta)
         object.__setattr__(self, "methods", tuple(self.methods))
+        for name in ("n_train", "n_test", "repetitions", "base_seed", "workers"):
+            object.__setattr__(self, name, integral(getattr(self, name), name))
         if len(theta) < 2 or any(t < 0 or not np.isfinite(t) for t in theta):
             raise ValueError("true_theta must be nonnegative, finite, length >= 2")
         if self.n_train < len(theta) or self.n_train < 2:
@@ -79,7 +81,11 @@ class ExperimentConfig:
 
 @dataclass(frozen=True)
 class RunRecord:
-    """One (method, repetition) outcome; failures carry the error message."""
+    """One (method, repetition) outcome; failures carry the error message.
+
+    The sampler diagnostics, round 0's ``proposals`` and the smallest ESS
+    over rounds ``ess_min`` among them, are None for baselines and failures.
+    """
 
     method: str
     repetition: int
@@ -88,7 +94,9 @@ class RunRecord:
     mse: float | None
     sparsity: float | None
     acceptance_rate: float | None
+    proposals: int | None
     ess_final: float | None
+    ess_min: float | None
     alpha0_final: float | None
     wall_clock_s: float
     error: str | None
@@ -156,7 +164,9 @@ def _fit_one(method: str, train: Dataset, cfg: ExperimentConfig, seed: int):
     diag = report.diagnostics
     return report.theta_star.theta, {
         "acceptance_rate": diag.acceptance_rate,
+        "proposals": diag.proposals,
         "ess_final": diag.ess_per_round[-1],
+        "ess_min": min(diag.ess_per_round),
         "alpha0_final": diag.alpha0_trajectory[-1],
     }
 
@@ -188,7 +198,9 @@ def _repetition_rows(cfg: ExperimentConfig, repetition: int) -> list[RunRecord]:
                 mse=outcome.get("mse"),
                 sparsity=outcome.get("sparsity"),
                 acceptance_rate=outcome.get("acceptance_rate"),
+                proposals=outcome.get("proposals"),
                 ess_final=outcome.get("ess_final"),
+                ess_min=outcome.get("ess_min"),
                 alpha0_final=outcome.get("alpha0_final"),
                 wall_clock_s=time.perf_counter() - started,
                 error=error,

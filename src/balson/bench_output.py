@@ -18,7 +18,9 @@ RUNS_COLUMNS = (
     "mse",
     "sparsity",
     "acceptance_rate",
+    "proposals",
     "ess_final",
+    "ess_min",
     "alpha0_final",
     "wall_clock_s",
     "error",

@@ -40,6 +40,21 @@ class Dataset:
         return self.inputs.shape[0]
 
 
+def integral(value, name: str) -> int:
+    """``value`` as an int, for a config's count and seed fields.
+
+    An integral number, such as JSON's 1e6, becomes its int; anything else,
+    1.5, inf, NaN or a string, raises ValueError.
+    """
+    try:
+        whole = int(value) == value
+    except (OverflowError, ValueError):
+        whole = False
+    if not whole:
+        raise ValueError(f"{name} must be an integer")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class ModelSpec:
     """Polynomial order K (number of coefficients) and L1 budget C.
@@ -53,9 +68,9 @@ class ModelSpec:
     scale: float = 1.0
 
     def __post_init__(self):
-        if int(self.order) != self.order or self.order < 1:
+        object.__setattr__(self, "order", integral(self.order, "order"))
+        if self.order < 1:
             raise ValueError("order must be an integer >= 1")
-        object.__setattr__(self, "order", int(self.order))
         if not (self.scale > 0.0 and np.isfinite(self.scale)):
             raise ValueError("scale must be a positive finite budget")
 

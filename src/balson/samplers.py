@@ -19,6 +19,19 @@ rounds makes no per-round rows x K temporaries. A workspace never
 outlives its pass: when a solve fails, the loop releases the workspace
 from every frame of the traceback before raising, so a caught error pins
 no buffer, and the public wrappers return arrays they own.
+
+A rejection pass stops as soon as it cannot finish. After each chunk of
+50,000 proposals, with a acceptances in n proposals, ``need`` still
+wanted and R proposals left, it takes the one-sided Clopper-Pearson upper
+bound p_hi on the acceptance rate (Clopper & Pearson 1934), the 1 - delta/2
+quantile of Beta(a + 1, n - a), and raises :class:`RejectionBudgetError`
+once P(Bin(R, p_hi) >= need) < delta/2, with delta = 1e-12. R = 0 always
+stops, and a pass that has accepted every proposal never does. Each chunk
+stops a pass that the whole budget would have finished with probability at
+most delta, so a solve is stopped wrongly with probability at most
+ceil(max_proposals / 50,000) delta: 2e-10 at the default cap of 10^7. The
+check reads only counters and draws no random numbers, so every pass that
+finishes returns the same bits as a pass without it.
 """
 
 from __future__ import annotations
@@ -28,16 +41,20 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
+from scipy import special
 
 from .baselines import IpParams, _barrier_qp
 from .dirichlet import DirichletParams, match_moments_per_dim, sample_batch
 from .exceptions import BalsonError, DegenerateWeightsError, RejectionBudgetError
-from .model import Dataset, ModelSpec, ResidualForm, design_matrix
+from .model import Dataset, ModelSpec, ResidualForm, design_matrix, integral
 
 DEFAULT_SAMPLE_COUNT = 10_000
 DEFAULT_RESAMPLE_ROUNDS = 100
 PROPOSAL_BUDGET_FACTOR = 1000
 _CHUNK = 50_000
+# delta: a chunk stops a rejection pass that could still finish with
+# probability at most this.
+_STOP_DELTA = 1e-12
 # The four schemes: name -> (round 0's kernel, whether R refinement rounds
 # follow). The order is the schemes' order everywhere, bench seeds included.
 SCHEMES = {"RS": ("rs", False), "IS": ("is", False), "RSIRS": ("rs", True), "ISIRS": ("is", True)}
@@ -45,7 +62,14 @@ SCHEMES = {"RS": ("rs", False), "IS": ("is", False), "RSIRS": ("rs", True), "ISI
 
 @dataclass(frozen=True)
 class SamplerConfig:
-    """Monte-Carlo knobs: L, refinement rounds R, RS proposal cap, seed."""
+    """Monte-Carlo knobs: L, refinement rounds R, RS proposal cap, seed.
+
+    ``max_proposals`` (default 1000 L) caps the proposals of one rejection
+    pass. The pass raises before the cap once a one-sided Clopper-Pearson
+    bound at level delta = 1e-12 shows that the proposals left cannot
+    deliver L acceptances; a solve that the whole cap would have finished is
+    stopped so with probability at most ceil(max_proposals / 50,000) delta.
+    """
 
     sample_count: int = DEFAULT_SAMPLE_COUNT
     resample_rounds: int = DEFAULT_RESAMPLE_ROUNDS
@@ -53,12 +77,14 @@ class SamplerConfig:
     seed: int = 0
 
     def __post_init__(self):
+        if self.max_proposals is None:
+            object.__setattr__(self, "max_proposals", PROPOSAL_BUDGET_FACTOR * self.sample_count)
+        for name in ("sample_count", "resample_rounds", "max_proposals", "seed"):
+            object.__setattr__(self, name, integral(getattr(self, name), name))
         if self.sample_count < 100:
             raise ValueError("sample_count must be at least 100")
         if self.resample_rounds < 0:
             raise ValueError("resample_rounds must be >= 0")
-        if self.max_proposals is None:
-            object.__setattr__(self, "max_proposals", PROPOSAL_BUDGET_FACTOR * self.sample_count)
         if self.max_proposals < self.sample_count:
             raise ValueError("max_proposals must be >= sample_count")
         if not (0 <= self.seed < 2**64):
@@ -219,6 +245,31 @@ class Problem:
         return min_rss(self.form, self.budget)
 
 
+def _rate_bound(accepted: int, proposed: int) -> float:
+    """p_hi: the one-sided Clopper-Pearson upper bound on an acceptance rate.
+
+    The 1 - delta/2 quantile of Beta(accepted + 1, proposed - accepted), so
+    the true rate exceeds it with probability at most delta/2; 1 when every
+    proposal was accepted.
+    """
+    if accepted == proposed:
+        return 1.0
+    return float(special.betaincinv(accepted + 1, proposed - accepted, 1.0 - _STOP_DELTA / 2))
+
+
+def _cannot_finish(accepted: int, proposed: int, need: int, left: int) -> bool:
+    """Whether a rejection pass should stop: ``left`` proposals, even at the
+    rate bound p_hi, yield the ``need`` acceptances still wanted with
+    probability P(Bin(left, p_hi) >= need) below delta/2.
+
+    Fewer proposals than acceptances needed, R = 0 included, always stop; a
+    pass that has accepted every proposal, where p_hi = 1, never does.
+    """
+    if left < need:
+        return True
+    return bool(special.bdtrc(need - 1, left, _rate_bound(accepted, proposed)) < _STOP_DELTA / 2)
+
+
 def _rejection(
     problem: Problem,
     prior: DirichletParams,
@@ -234,17 +285,7 @@ def _rejection(
     n_proposed = 0
     n_accepted = 0
     while n_kept < want:
-        remaining_budget = cfg.max_proposals - n_proposed
-        if remaining_budget <= 0:
-            # The traceback keeps this frame; drop the workspace and the last
-            # chunk's views of it (max_proposals >= sample_count, so at least
-            # one chunk was drawn).
-            del ws, draws, gap, accepted
-            raise RejectionBudgetError(
-                f"rejection budget exceeded: {n_proposed} proposals "
-                f"yielded {n_accepted} acceptances (need {want})"
-            )
-        m = min(_CHUNK, remaining_budget)
+        m = min(_CHUNK, cfg.max_proposals - n_proposed)
         draws, gap = ws.draw_rss(problem, prior, rng, m)
         gap -= problem.floor
         if np.any(np.isnan(gap)):
@@ -260,6 +301,18 @@ def _rejection(
             # neither alias the workspace nor pin a longer array.
             kept.append(draws[accepted][: want - n_kept])
             n_kept += kept[-1].shape[0]
+        need, left = want - n_kept, cfg.max_proposals - n_proposed
+        if need > 0 and _cannot_finish(n_accepted, n_proposed, need, left):
+            # The traceback keeps this frame; drop the workspace and the
+            # chunk's views of it.
+            del ws, draws, gap, accepted
+            raise RejectionBudgetError(
+                f"rejection sampling stopped: {n_proposed} proposals "
+                f"yielded {n_accepted} acceptances (need {want}); with {left} of "
+                f"{cfg.max_proposals} proposals left and an acceptance rate of at most "
+                f"{_rate_bound(n_accepted, n_proposed):.3g} (one-sided Clopper-Pearson "
+                f"bound, level {_STOP_DELTA:g}), {need} more are out of reach"
+            )
     samples = np.concatenate(kept)
     weights = np.full(want, 1.0 / want)
     return WeightedSampleSet(
@@ -303,8 +356,16 @@ def rejection_sample(
     the scaled simplex. The envelope therefore dominates the likelihood on
     the whole proposal support, every acceptance probability lies in (0, 1],
     and the kept draws are exact posterior draws; the tighter the floor, the
-    fewer proposals they cost. Raises :class:`RejectionBudgetError` if
-    ``max_proposals`` runs out first.
+    fewer proposals they cost.
+
+    Raises :class:`RejectionBudgetError` as soon as the pass cannot reach L
+    acceptances within ``max_proposals``: after each chunk of 50,000
+    proposals, when even the one-sided Clopper-Pearson upper bound on the
+    acceptance rate, at level delta = 1e-12, gives the proposals left a
+    chance below delta/2 of delivering the acceptances still needed, and
+    always when the budget is spent. A pass that the whole budget would have
+    finished is stopped with probability at most
+    ceil(max_proposals / 50,000) delta, 2e-10 at the default cap.
     """
     problem = Problem.of(data, prior, spec)
     if rng is None:

@@ -70,3 +70,32 @@ def test_outputs_are_reproducible_and_independent_of_workers(tmp_path):
     assert len(first["runs.csv"]) == 3 * 7
     assert bench_files(tmp_path, "b", workers=1) == first
     assert bench_files(tmp_path, "c", workers=2) == first
+    # Round 0's proposals and the smallest ESS over rounds; empty for baselines.
+    for row in first["runs.csv"]:
+        scheme = row["method"].removeprefix("BALSON-")
+        if scheme == row["method"]:
+            assert row["proposals"] == row["ess_min"] == ""
+            continue
+        proposals, ess_min = int(row["proposals"]), float(row["ess_min"])
+        assert proposals >= 200 if scheme.startswith("RS") else proposals == 200
+        assert 1.0 <= ess_min <= float(row["ess_final"]) <= 200.0
+        if scheme in ("RS", "IS"):
+            assert ess_min == float(row["ess_final"])
+
+
+def test_failed_rows_leave_the_sampler_columns_empty(tmp_path):
+    # 200 proposals cannot yield 200 acceptances at the paper's rate.
+    cfg = dataclasses.replace(
+        TINY,
+        repetitions=2,
+        methods=("BALSON-RS",),
+        sampler=SamplerConfig(sample_count=200, max_proposals=200),
+    )
+    table = run_experiment(cfg)
+    emit_outputs(table, summarize(table), tmp_path, svg=False)
+    with (tmp_path / "runs.csv").open(newline="") as handle:
+        rows = list(csv.DictReader(handle))
+    assert len(rows) == 2
+    for row in rows:
+        assert "proposals yielded" in row["error"]
+        assert row["proposals"] == row["ess_min"] == row["acceptance_rate"] == ""

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from balson import cli
+from balson.bench import config_from_mapping
 from balson.exceptions import BalsonError
 
 
@@ -163,6 +164,47 @@ def test_bench_value_of_the_wrong_type(tmp_path, capsys, raw):
     assert cli.main(["bench", "--config", str(config), "--out-dir", str(tmp_path / "out")]) == cli.EXIT_USAGE
     assert capsys.readouterr().err.startswith("usage error:")
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "raw",
+    [
+        {"repetitions": 2.0},
+        {"n_train": 50.0},
+        {"sampler": {"sample_count": 200.0, "resample_rounds": 2}},
+        {"baselines": {"gibbs": {"iterations": 60.0, "burn_in": 20.0, "seed": 1e3}}},
+    ],
+)
+def test_bench_integral_float_counts(tmp_path, raw):
+    # JSON numbers such as 2.0 and 1e3 are integers in a count or seed field.
+    config = tmp_path / "bench.json"
+    config.write_text(json.dumps({**TINY_BENCH, **raw}))
+    assert cli.main(["bench", "--config", str(config), "--out-dir", str(tmp_path / "out")]) == cli.EXIT_OK
+
+
+@pytest.mark.parametrize(
+    "raw",
+    [
+        {"repetitions": 2.5},
+        {"n_train": 50.5},
+        {"n_test": float("inf")},
+        {"base_seed": float("nan")},
+        {"sampler": {"sample_count": 200.5}},
+        {"sampler": {"max_proposals": 1e6 + 0.5}},
+        {"baselines": {"gibbs": {"burn_in": 20.5}}},
+    ],
+)
+def test_bench_count_that_is_not_an_integer(tmp_path, capsys, raw):
+    config = tmp_path / "bench.json"
+    config.write_text(json.dumps(raw))
+    assert cli.main(["bench", "--config", str(config), "--out-dir", str(tmp_path / "out")]) == cli.EXIT_USAGE
+    assert capsys.readouterr().err.startswith("usage error:")
+    assert not (tmp_path / "out").exists()
+
+
+def test_bench_max_proposals_from_a_json_float():
+    cfg = config_from_mapping(json.loads('{"sampler": {"max_proposals": 1e6}}'))
+    assert type(cfg.sampler.max_proposals) is int and cfg.sampler.max_proposals == 1_000_000
 
 
 def test_sample_diag(capsys):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import special
 from scipy.optimize import minimize
 
 from balson import (
@@ -24,6 +25,7 @@ from balson import (
     uniform_prior,
     weighted_moments,
 )
+from balson import samplers
 from balson.model import ResidualForm
 from balson.samplers import Problem, fit_posterior, min_rss, round_rng
 from conftest import quadrature_posterior_k2, weighted_se_mean
@@ -184,6 +186,32 @@ class TestRejectionSampling:
         b = rejection_sample(data, uniform_prior(3), ModelSpec(3, 1.0), cfg)
         np.testing.assert_array_equal(a.samples, b.samples)
         assert a.acceptance_rate == b.acceptance_rate
+
+
+class TestStopRule:
+    """When a rejection pass stops: the one-sided Clopper-Pearson bound p_hi on
+    the acceptance rate cannot deliver the acceptances still needed."""
+
+    @pytest.mark.parametrize(
+        "accepted, proposed, need, left, stop",
+        [
+            (1, 50_000, 10_000, 950_000, True),  # signed's first chunk
+            (19, 50_000, 10_000, 950_000, True),  # large_n's first chunk at a 10^6 cap
+            (3_500, 50_000, 6_500, 950_000, False),  # a paper-like rate of 0.07
+            (3_500, 50_000, 6_500, 0, True),  # the budget is spent
+            (5_000, 5_000, 5_000, 9_995_000, False),  # every proposal accepted
+        ],
+    )
+    def test_decision(self, accepted, proposed, need, left, stop):
+        assert samplers._cannot_finish(accepted, proposed, need, left) is stop
+
+    @pytest.mark.parametrize("accepted", [0, 1, 19, 3_500])
+    def test_rate_bound_is_the_clopper_pearson_limit(self, accepted):
+        # At the upper limit, observing at most ``accepted`` has probability delta/2.
+        p_hi = samplers._rate_bound(accepted, 50_000)
+        assert accepted / 50_000 < p_hi < 1.0
+        delta = samplers._STOP_DELTA
+        assert special.bdtr(accepted, 50_000, p_hi) == pytest.approx(delta / 2, rel=1e-6)
 
 
 class TestImportanceSampling:

@@ -2,6 +2,7 @@
 and what a failed solve leaves reachable."""
 
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -27,7 +28,11 @@ from balson.solver import METHODS
 from conftest import direct_rss, grid_min_rss
 
 N_BIG = 20_000
-MAX_PROPOSALS = 2_000  # one chunk: below samplers._CHUNK
+ROWS = 2_000
+# RS accepts about 2e-3 of its proposals on paper_like(N_BIG), so with
+# L = 10^4 it stops after one chunk, far below this cap.
+FAILING = dict(sample_count=10_000, max_proposals=1_000_000)
+ACCEPTANCES = re.compile(r"(\d+) proposals yielded (\d+) acceptances")
 
 
 def paper_like(n, seed=0):
@@ -87,15 +92,18 @@ class TestFailedSolvePinsNothing:
     def test_solve(self, method):
         data = paper_like(N_BIG)
         with pytest.raises(RejectionBudgetError, match="proposals yielded") as info:
-            solve(data, config(method, max_proposals=MAX_PROPOSALS))
-        assert large_arrays(info.value, min(N_BIG, MAX_PROPOSALS)) == []
+            solve(data, config(method, **FAILING))
+        # The pass stopped early, at the raise site that also ends a spent budget.
+        assert int(ACCEPTANCES.search(str(info.value)).group(1)) < FAILING["max_proposals"]
+        assert large_arrays(info.value, N_BIG) == []
 
     def test_rejection_sample(self):
         data = paper_like(N_BIG)
-        cfg = config("RS", max_proposals=MAX_PROPOSALS)
+        cfg = config("RS", **FAILING)
         with pytest.raises(RejectionBudgetError, match="proposals yielded") as info:
             rejection_sample(data, cfg.prior, cfg.spec, cfg.sampler)
-        assert large_arrays(info.value, min(N_BIG, MAX_PROPOSALS)) == []
+        assert int(ACCEPTANCES.search(str(info.value)).group(1)) < FAILING["max_proposals"]
+        assert large_arrays(info.value, N_BIG) == []
 
     def test_check_sees_a_pinned_design(self):
         # The check itself: a frame that holds the design is reported.
@@ -202,6 +210,59 @@ class TestSimplexFloor:
         assert solve(train, cfg).diagnostics.acceptance_rate >= 1e-2
 
 
+class TestEarlyStop:
+    """A rejection pass raises as soon as the proposals left cannot deliver L."""
+
+    @pytest.mark.parametrize("method", ["RS", "RSIRS"])
+    def test_failing_signed_solve_raises_after_one_chunk(self, method):
+        # The benchmark's signed problem: K = 10 split into 20 dimensions,
+        # N = 1000, a cap of 10^6 proposals and the bench seeds.
+        theta = np.array([0.0, 0.5, 0.0, -0.3, 0.0, 0.0, 0.0, 0.0, 0.15, 0.0])
+        xs = np.linspace(-1.0, 1.0, 1000)
+        data = Dataset(xs, predict(theta, xs) + np.random.default_rng([0]).standard_normal(1000))
+        seed = method_seed(0, 0, f"BALSON-{method}")
+        cfg = BalsonConfig(
+            method,
+            uniform_prior(20),
+            ModelSpec(10, 1.0),
+            SamplerConfig(max_proposals=1_000_000, seed=seed),
+        )
+        with pytest.raises(RejectionBudgetError) as info:
+            solve_signed(data, cfg)
+        assert ACCEPTANCES.search(str(info.value)).group(1) == str(samplers._CHUNK) == "50000"
+
+    def test_paper_fits_never_reach_the_check(self, monkeypatch):
+        # With only the spent-budget stop, RS and RSIRS on paper repetitions
+        # 0-19 give the same bits: the check never fires there and draws
+        # no random numbers.
+        bench_cfg = ExperimentConfig()
+
+        def fits():
+            out = []
+            for rep in range(20):
+                train, _, _ = generate_dataset(bench_cfg, rep)
+                for method in ("RS", "RSIRS"):
+                    sampler = SamplerConfig(
+                        resample_rounds=2, seed=method_seed(0, rep, f"BALSON-{method}")
+                    )
+                    cfg = BalsonConfig(method, uniform_prior(5), ModelSpec(5, 1.0), sampler)
+                    report = solve(train, cfg)
+                    out.append(
+                        (
+                            report.theta_star.theta.tobytes(),
+                            report.alpha_star.alpha.tobytes(),
+                            report.diagnostics.proposals,
+                        )
+                    )
+            return out
+
+        checked = fits()
+        monkeypatch.setattr(
+            samplers, "_cannot_finish", lambda accepted, proposed, need, left: left == 0
+        )
+        assert fits() == checked
+
+
 class TestProposals:
     @pytest.mark.parametrize("method", ["RS", "RSIRS"])
     def test_rejection_counts(self, method):
@@ -261,9 +322,9 @@ class TestOverflowingBasis:
         for method in ("RS", "IS", "RSIRS", "ISIRS"):
             with np.errstate(over="ignore", invalid="ignore"):
                 with pytest.raises(BalsonError, match="non-finite Gram or X'y") as info:
-                    solve(data, config(method, sample_count=MAX_PROPOSALS))
+                    solve(data, config(method, sample_count=ROWS))
             # The error pins no workspace.
-            assert large_arrays(info.value, MAX_PROPOSALS) == []
+            assert large_arrays(info.value, ROWS) == []
 
 
 class TestSolveSigned:
