@@ -92,6 +92,8 @@ class GibbsParams:
     def __post_init__(self):
         for name in ("iterations", "burn_in", "seed"):
             object.__setattr__(self, name, integral(getattr(self, name), name))
+        if self.burn_in < 0:
+            raise ValueError("burn_in must be >= 0")
         if self.iterations <= self.burn_in:
             raise ValueError("iterations must exceed burn_in")
         if self.hyper_shape <= 0.0 or self.hyper_rate <= 0.0:

@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .baselines import BaselineConfig, bayesian_lasso_fit, ip_fit, lasso_fit
-from .bench_output import write_outputs
+from .bench_output import QUALITY, RunRecord, write_outputs
 from .exceptions import BalsonError, DegenerateStatisticError
 from .metrics import mse, paired_t_test, sparsity
 from .model import Dataset, ModelSpec, integral, predict
@@ -36,7 +36,12 @@ ALL_METHODS = BASELINE_METHODS + BALSON_METHODS
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Full experiment definition; defaults reproduce the polynomial benchmark."""
+    """Full experiment definition; defaults reproduce the polynomial benchmark.
+
+    Every row's solver seed is ``method_seed(base_seed, repetition, method)``,
+    so ``sampler.seed`` and ``baselines.gibbs.seed`` change nothing here,
+    although ``config.json`` echoes them: vary ``base_seed`` instead.
+    """
 
     true_theta: tuple[float, ...] = PAPER_THETA
     n_train: int = 100
@@ -62,8 +67,7 @@ class ExperimentConfig:
             raise ValueError("n_train must be at least the coefficient count (and >= 2)")
         if self.n_test < 2:
             raise ValueError("n_test must be >= 2")
-        if not self.budget > 0:
-            raise ValueError("budget must be positive")
+        ModelSpec(len(theta), self.budget)
         if self.repetitions < 1:
             raise ValueError("repetitions must be >= 1")
         unknown = set(self.methods) - set(ALL_METHODS)
@@ -80,30 +84,6 @@ class ExperimentConfig:
 
 
 @dataclass(frozen=True)
-class RunRecord:
-    """One (method, repetition) outcome; failures carry the error message.
-
-    The sampler diagnostics, round 0's ``proposals`` and the smallest ESS
-    over rounds ``ess_min`` among them, are None for baselines and failures.
-    """
-
-    method: str
-    repetition: int
-    seed: int
-    dataset_sha256: str
-    mse: float | None
-    sparsity: float | None
-    acceptance_rate: float | None
-    proposals: int | None
-    ess_final: float | None
-    ess_min: float | None
-    alpha0_final: float | None
-    wall_clock_s: float
-    error: str | None
-    theta: tuple[float, ...] | None
-
-
-@dataclass(frozen=True)
 class ResultTable:
     config: ExperimentConfig
     rows: tuple[RunRecord, ...]
@@ -113,9 +93,8 @@ class ResultTable:
 class Summary:
     """Per-method metric means plus the significance matrices of the paper tables."""
 
-    method_means: dict  # method -> {"mean_mse", "mean_sparsity", "n_ok"}
-    pvalues_mse: dict  # balson method -> baseline -> float | None (degenerate)
-    pvalues_sparsity: dict
+    method_means: dict  # method -> {"mean_<metric>" for each QUALITY metric, "n_ok"}
+    pvalues: dict  # metric -> balson method -> baseline -> float | None (degenerate)
 
 
 def generate_dataset(cfg: ExperimentConfig, repetition: int):
@@ -189,22 +168,17 @@ def _repetition_rows(cfg: ExperimentConfig, repetition: int) -> list[RunRecord]:
             error = None
         except BalsonError as err:
             outcome, error = {}, str(err)
+        except Exception as err:  # any other fault fails its row, not the run
+            outcome, error = {}, f"{type(err).__name__}: {err}"
         rows.append(
             RunRecord(
                 method=method,
                 repetition=repetition,
                 seed=seed,
                 dataset_sha256=digest,
-                mse=outcome.get("mse"),
-                sparsity=outcome.get("sparsity"),
-                acceptance_rate=outcome.get("acceptance_rate"),
-                proposals=outcome.get("proposals"),
-                ess_final=outcome.get("ess_final"),
-                ess_min=outcome.get("ess_min"),
-                alpha0_final=outcome.get("alpha0_final"),
                 wall_clock_s=time.perf_counter() - started,
                 error=error,
-                theta=outcome.get("theta"),
+                **outcome,
             )
         )
     return rows
@@ -223,52 +197,40 @@ def run_experiment(cfg: ExperimentConfig) -> ResultTable:
     return ResultTable(config=cfg, rows=tuple(rows))
 
 
-def _metric_series(table: ResultTable, method: str, attr: str) -> dict[int, float]:
-    return {
-        r.repetition: getattr(r, attr)
-        for r in table.rows
-        if r.method == method and r.error is None
-    }
+def _pvalue(a: dict[int, float], b: dict[int, float]) -> float | None:
+    """Paired t-test p-value over the repetitions both series share; None if degenerate."""
+    shared = sorted(set(a) & set(b))
+    if len(shared) < 2:
+        return None
+    try:
+        return paired_t_test([a[i] for i in shared], [b[i] for i in shared])[1]
+    except DegenerateStatisticError:
+        return None
 
 
 def summarize(table: ResultTable) -> Summary:
     """Per-method means and paired significance of each sampler variant vs each baseline."""
     methods = table.config.methods
+    # (method, metric) -> {repetition: value} over the method's successful rows.
+    ok = [r for r in table.rows if r.error is None]
+    series = {
+        (m, q): {r.repetition: getattr(r, q) for r in ok if r.method == m}
+        for m in methods
+        for q in QUALITY
+    }
     means = {}
     for method in methods:
-        ms = _metric_series(table, method, "mse")
-        sp = _metric_series(table, method, "sparsity")
-        means[method] = {
-            "mean_mse": float(np.mean(list(ms.values()))) if ms else None,
-            "mean_sparsity": float(np.mean(list(sp.values()))) if sp else None,
-            "n_ok": len(ms),
-        }
-    pvalues = {"mse": {}, "sparsity": {}}
-    for attr in ("mse", "sparsity"):
-        for variant in BALSON_METHODS:
-            if variant not in methods:
-                continue
-            row = {}
-            for baseline in BASELINE_METHODS:
-                if baseline not in methods:
-                    continue
-                a = _metric_series(table, variant, attr)
-                b = _metric_series(table, baseline, attr)
-                shared = sorted(set(a) & set(b))
-                if len(shared) < 2:
-                    row[baseline] = None
-                    continue
-                try:
-                    _, p = paired_t_test([a[i] for i in shared], [b[i] for i in shared])
-                    row[baseline] = p
-                except DegenerateStatisticError:
-                    row[baseline] = None
-            pvalues[attr][variant] = row
-    return Summary(
-        method_means=means,
-        pvalues_mse=pvalues["mse"],
-        pvalues_sparsity=pvalues["sparsity"],
-    )
+        # Every metric's series holds one value per successful row.
+        values = {q: list(series[method, q].values()) for q in QUALITY}
+        means[method] = {f"mean_{q}": float(np.mean(v)) if v else None for q, v in values.items()}
+        means[method]["n_ok"] = len(values[QUALITY[0]])
+    variants = [m for m in BALSON_METHODS if m in methods]
+    baselines = [m for m in BASELINE_METHODS if m in methods]
+    pvalues = {
+        q: {v: {b: _pvalue(series[v, q], series[b, q]) for b in baselines} for v in variants}
+        for q in QUALITY
+    }
+    return Summary(method_means=means, pvalues=pvalues)
 
 
 def config_echo(cfg: ExperimentConfig) -> dict:
@@ -280,51 +242,45 @@ def config_echo(cfg: ExperimentConfig) -> dict:
     echo.pop("out_dir")
     echo.pop("workers")
     echo["baselines"].pop("lasso")
-    echo["true_theta"] = list(cfg.true_theta)
-    echo["methods"] = list(cfg.methods)
     return echo
 
 
-def _object(raw, what: str) -> dict:
-    """A copy of ``raw``, or a ValueError if it is not a JSON object."""
+def _build(cls, raw, path: str):
+    """``cls(**raw)``, each field whose default is a dataclass built from its
+    own section the same way. ``path`` names the section in messages ("" at
+    the top, else e.g. "baselines.gibbs"). Raises ValueError if a section is
+    not an object, has keys that its class has no field for, or holds a
+    value of the wrong JSON type."""
+    what = f"{path} config".lstrip()
     if not isinstance(raw, dict):
         raise ValueError(f"{what} must be a JSON object")
-    return dict(raw)
-
-
-def _build(cls, raw, what: str):
-    """``cls(**raw)``, or a ValueError if ``raw`` is not an object, has keys
-    that ``cls`` has no field for, or holds a value of the wrong JSON type."""
-    unknown = set(_object(raw, what)) - {f.name for f in dataclasses.fields(cls)}
+    factories = {f.name: f.default_factory for f in dataclasses.fields(cls)}
+    unknown = set(raw) - set(factories)
     if unknown:
         raise ValueError(f"unknown {what} keys: {sorted(unknown)}")
+    kwargs = {
+        name: _build(factories[name], value, f"{path}.{name}".lstrip("."))
+        if dataclasses.is_dataclass(factories[name])
+        else value
+        for name, value in raw.items()
+    }
     try:
-        return cls(**raw)
+        return cls(**kwargs)
     except TypeError as err:
         raise ValueError(f"{what}: {err}") from err
 
 
 def config_from_mapping(raw: dict) -> ExperimentConfig:
     """Build a config from parsed JSON; omitted fields keep benchmark defaults."""
-    raw = _object(raw, "config")
-    if "sampler" in raw:
-        raw["sampler"] = _build(SamplerConfig, raw["sampler"], "sampler config")
-    if "baselines" in raw:
-        nested = _object(raw["baselines"], "baseline config")
-        if "lasso" in nested:
-            warnings.warn(
-                'the "lasso" baseline key is deprecated and ignored: LASSO runs on the '
-                'barrier core with the "ip" tolerance',
-                DeprecationWarning,
-                stacklevel=2,
-            )
-        # Each section's class is its BaselineConfig field's default factory.
-        for section in dataclasses.fields(BaselineConfig):
-            if section.name in nested:
-                what = f"baselines.{section.name} config"
-                nested[section.name] = _build(section.default_factory, nested[section.name], what)
-        raw["baselines"] = _build(BaselineConfig, nested, "baseline config")
-    return _build(ExperimentConfig, raw, "config")
+    baselines = raw.get("baselines") if isinstance(raw, dict) else None
+    if isinstance(baselines, dict) and "lasso" in baselines:
+        warnings.warn(
+            'the "lasso" baseline key is deprecated and ignored: LASSO runs on the '
+            'barrier core with the "ip" tolerance',
+            DeprecationWarning,
+            stacklevel=2,
+        )
+    return _build(ExperimentConfig, raw, "")
 
 
 def emit_outputs(table: ResultTable, summary: Summary, out_dir, svg: bool = False) -> list[Path]:

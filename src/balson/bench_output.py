@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -10,21 +11,38 @@ import numpy as np
 from .model import predict
 from .svg import box_plot, line_plot
 
-RUNS_COLUMNS = (
-    "method",
-    "repetition",
-    "seed",
-    "dataset_sha256",
-    "mse",
-    "sparsity",
-    "acceptance_rate",
-    "proposals",
-    "ess_final",
-    "ess_min",
-    "alpha0_final",
-    "wall_clock_s",
-    "error",
-)
+# The quality metrics, each a RunRecord field: every one gets a mean in
+# summary.csv, a p-value matrix pvalues_<metric>.csv and a box plot.
+QUALITY = ("mse", "sparsity")
+
+
+@dataclass(frozen=True, kw_only=True)
+class RunRecord:
+    """One (method, repetition) outcome; failures carry the error message.
+
+    The outcome fields are None for failures, and the sampler diagnostics,
+    round 0's ``proposals`` and the smallest ESS over rounds ``ess_min``
+    among them, are None for baselines too.
+    """
+
+    method: str
+    repetition: int
+    seed: int
+    dataset_sha256: str
+    mse: float | None = None
+    sparsity: float | None = None
+    acceptance_rate: float | None = None
+    proposals: int | None = None
+    ess_final: float | None = None
+    ess_min: float | None = None
+    alpha0_final: float | None = None
+    wall_clock_s: float
+    error: str | None = None
+    theta: tuple[float, ...] | None = None
+
+
+# runs.csv holds every field but the coefficients, in field order.
+RUNS_COLUMNS = tuple(f.name for f in fields(RunRecord) if f.name != "theta")
 
 
 def _cell(value):
@@ -56,26 +74,18 @@ def write_outputs(table, summary, out: Path, svg: bool) -> list[Path]:
     summary_path = out / "summary.csv"
     _write_csv(
         summary_path,
-        ("method", "mean_mse", "mean_sparsity", "n_ok"),
+        ("method", *next(iter(summary.method_means.values()))),
         [
-            [
-                method,
-                _cell(stats["mean_mse"]),
-                _cell(stats["mean_sparsity"]),
-                stats["n_ok"],
-            ]
+            [method, *(_cell(value) for value in stats.values())]
             for method, stats in summary.method_means.items()
         ],
     )
     paths.append(summary_path)
 
-    for name, matrix in (
-        ("pvalues_mse.csv", summary.pvalues_mse),
-        ("pvalues_sparsity.csv", summary.pvalues_sparsity),
-    ):
+    for metric, matrix in summary.pvalues.items():
         # Every row holds the same baselines, in the order summarize tests them.
         baselines = list(next(iter(matrix.values()), {}))
-        path = out / name
+        path = out / f"pvalues_{metric}.csv"
         _write_csv(
             path,
             ["method", *baselines],
@@ -123,7 +133,7 @@ def _write_curves(table, out: Path, svg: bool) -> list[Path]:
         curves_svg = out / "curves.svg"
         line_plot(curves_svg, series, "Actual and fitted curves")
         paths.append(curves_svg)
-        for metric in ("mse", "sparsity"):
+        for metric in QUALITY:
             groups = []
             for method in cfg.methods:
                 values = [

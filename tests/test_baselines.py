@@ -309,6 +309,7 @@ class TestBayesianLasso:
             {"iterations": 10, "burn_in": 20},
             {"hyper_shape": 0.0},
             {"hyper_rate": -1.0},
+            {"iterations": 60, "burn_in": -5},
         ],
     )
     def test_invalid_params(self, kwargs):

@@ -8,7 +8,9 @@ from balson import (
     ExperimentConfig,
     GibbsParams,
     IpParams,
+    RunRecord,
     SamplerConfig,
+    bench,
     emit_outputs,
     run_experiment,
     summarize,
@@ -32,6 +34,27 @@ OUTPUT_FILES = {
     "boxplot_mse.svg",
     "boxplot_sparsity.svg",
 }
+RUNS_HEADER = [
+    "method",
+    "repetition",
+    "seed",
+    "dataset_sha256",
+    "mse",
+    "sparsity",
+    "acceptance_rate",
+    "proposals",
+    "ess_final",
+    "ess_min",
+    "alpha0_final",
+    "wall_clock_s",
+    "error",
+]
+SUMMARY_HEADER = ["method", "mean_mse", "mean_sparsity", "n_ok"]
+
+
+def read_csv(path):
+    with path.open(newline="") as handle:
+        return list(csv.reader(handle))
 
 
 def test_config_echo_loads_back():
@@ -88,14 +111,55 @@ def test_failed_rows_leave_the_sampler_columns_empty(tmp_path):
     cfg = dataclasses.replace(
         TINY,
         repetitions=2,
-        methods=("BALSON-RS",),
+        methods=("IP", "BALSON-IS", "BALSON-RS"),
         sampler=SamplerConfig(sample_count=200, max_proposals=200),
     )
     table = run_experiment(cfg)
-    emit_outputs(table, summarize(table), tmp_path, svg=False)
-    with (tmp_path / "runs.csv").open(newline="") as handle:
-        rows = list(csv.DictReader(handle))
+    emit_outputs(table, summarize(table), tmp_path, svg=True)
+    runs = read_csv(tmp_path / "runs.csv")
+    assert runs[0] == RUNS_HEADER
+    rows = [dict(zip(runs[0], row)) for row in runs[1:] if row[0] == "BALSON-RS"]
     assert len(rows) == 2
     for row in rows:
         assert "proposals yielded" in row["error"]
         assert row["proposals"] == row["ess_min"] == row["acceptance_rate"] == ""
+
+    # A method that fails every row gets no mean, p-value, curve or box.
+    summary = read_csv(tmp_path / "summary.csv")
+    assert summary[0] == SUMMARY_HEADER
+    assert summary[3] == ["BALSON-RS", "", "", "0"]
+    assert summary[2][0] == "BALSON-IS" and summary[2][3] == "2"
+    for metric in ("mse", "sparsity"):
+        header, rs_row, is_row = read_csv(tmp_path / f"pvalues_{metric}.csv")
+        assert header == ["method", "IP"]
+        assert is_row[0] == "BALSON-IS" and 0.0 <= float(is_row[1]) <= 1.0
+        assert rs_row == ["BALSON-RS", "degenerate"]
+        box = (tmp_path / f"boxplot_{metric}.svg").read_text()
+        assert ">BALSON-IS</text>" in box and ">BALSON-RS</text>" not in box
+    curves = read_csv(tmp_path / "curves.csv")
+    assert curves[0] == ["x", "y_true", "IP", "BALSON-IS", "BALSON-RS"]
+    assert len(curves) == 1 + cfg.n_test
+    assert all(row[3] != "" and row[4] == "" for row in curves[1:])
+
+
+def test_an_unexpected_error_fails_only_its_rows(monkeypatch):
+    cfg = dataclasses.replace(TINY, repetitions=2)
+    expected = run_experiment(cfg).rows
+
+    def broken_ip_fit(*args):
+        raise RuntimeError("factor lost")
+
+    monkeypatch.setattr(bench, "ip_fit", broken_ip_fit)
+    rows = run_experiment(cfg).rows
+    assert len(rows) == len(expected) == 2 * 7
+    for row, want in zip(rows, expected):
+        if row.method == "IP":
+            want = RunRecord(
+                method="IP",
+                repetition=want.repetition,
+                seed=want.seed,
+                dataset_sha256=want.dataset_sha256,
+                wall_clock_s=row.wall_clock_s,
+                error="RuntimeError: factor lost",
+            )
+        assert dataclasses.replace(row, wall_clock_s=want.wall_clock_s) == want

@@ -156,6 +156,7 @@ def test_bench_section_not_an_object(tmp_path, capsys, raw, extra):
         {"methods": ["BALSON-RS", ["x"]]},
         {"baselines": {"gibbs": {"iterations": "x"}}},
         {"repetitions": None},
+        {"budget": float("inf")},  # JSON Infinity: a number, but no finite budget
     ],
 )
 def test_bench_value_of_the_wrong_type(tmp_path, capsys, raw):
