@@ -3,7 +3,11 @@
 The RS envelope floor, LASSO and IP share one constrained-QP core,
 :func:`_barrier_qp`: a log-barrier Newton method for min RSS over the
 equality simplex {theta >= 0, sum theta = C}, on RSS's sufficient statistics
-(Gram, X'y, y'y) from a :class:`~balson.model.ResidualForm`. IP solves
+(Gram, X'y, y'y) from a :class:`~balson.model.ResidualForm`. On a dataset,
+``lasso_fit``, ``ip_fit`` and ``bayesian_lasso_fit`` take the form's
+polynomial way in, whose Hankel Gram and X'y come from the power sums
+sum x^m and sum x^m y, so no baseline forms the N x K design; ``ip_solve``
+also takes an explicit design, the form's other way in. IP solves
 min RSS s.t. theta >= 0, sum theta <= C on the core with one slack
 coordinate. LASSO solves the constrained form min RSS s.t. ||theta||_1 <= C
 (Tibshirani 1996) as the same problem on the split design [X, -X].
@@ -30,7 +34,6 @@ from .model import (
     ModelSpec,
     ParameterVector,
     ResidualForm,
-    design_matrix,
     integral,
     merge_signed,
 )
@@ -172,24 +175,32 @@ def lasso_fit(data: Dataset, spec: ModelSpec, cfg: BaselineConfig) -> np.ndarray
     is IP's problem (Tibshirani 1996). Its statistics come from the split
     :class:`~balson.model.ResidualForm`, the same one the signed BALSON
     solve uses, which builds [[G, -G], [-G, G]] and [X'y, -X'y] from the
-    K x K Gram G and never forms [X, -X] itself. The stopping tolerance is
-    ``cfg.ip``'s; ``cfg.lasso`` is ignored.
+    K x K power-sum Gram G and never forms X or [X, -X]. The stopping
+    tolerance is ``cfg.ip``'s; ``cfg.lasso`` is ignored.
     """
-    form = ResidualForm(design_matrix(data.inputs, spec.order), data.targets, True)
+    form = ResidualForm(data.inputs, data.targets, True, order=spec.order)
     return merge_signed(_within_budget(form, spec.scale, cfg.ip))
 
 
 def ip_fit(data: Dataset, spec: ModelSpec, cfg: BaselineConfig) -> ParameterVector:
     """Log-barrier solve of min RSS(theta) s.t. theta >= 0, sum theta <= C."""
-    design = design_matrix(data.inputs, spec.order)
-    return ParameterVector(ip_solve(design, data.targets, spec.scale, cfg.ip))
+    return ParameterVector(ip_solve(data.inputs, data.targets, spec.scale, cfg.ip, order=spec.order))
 
 
 def ip_solve(
-    design: np.ndarray, targets: np.ndarray, budget: float, params: IpParams
+    design: np.ndarray,
+    targets: np.ndarray,
+    budget: float,
+    params: IpParams,
+    *,
+    order: int | None = None,
 ) -> np.ndarray:
-    """Log-barrier solve of min RSS s.t. theta >= 0, sum theta <= C on an explicit design."""
-    return _within_budget(ResidualForm(design, targets), budget, params)
+    """Log-barrier solve of min RSS s.t. theta >= 0, sum theta <= C.
+
+    ``design`` is an explicit design, or with ``order`` the inputs of the
+    polynomial design, as in :class:`~balson.model.ResidualForm`.
+    """
+    return _within_budget(ResidualForm(design, targets, order=order), budget, params)
 
 
 def _within_budget(form: ResidualForm, budget: float, params: IpParams) -> np.ndarray:
@@ -286,7 +297,7 @@ def bayesian_lasso_fit(
     params = cfg.gibbs
     if rng is None:
         rng = np.random.default_rng([params.seed])
-    form = ResidualForm(design_matrix(data.inputs, spec.order), data.targets)
+    form = ResidualForm(data.inputs, data.targets, order=spec.order)
     corr = form.xty
     k = spec.order
 

@@ -67,7 +67,12 @@ class ExperimentConfig:
             raise ValueError("n_train must be at least the coefficient count (and >= 2)")
         if self.n_test < 2:
             raise ValueError("n_test must be >= 2")
-        ModelSpec(len(theta), self.budget)
+        try:
+            budget_ok = self.budget > 0.0 and np.isfinite(self.budget)
+        except TypeError:  # a JSON string or null
+            budget_ok = False
+        if not budget_ok:
+            raise ValueError("budget must be a positive finite number")
         if self.repetitions < 1:
             raise ValueError("repetitions must be >= 1")
         unknown = set(self.methods) - set(ALL_METHODS)

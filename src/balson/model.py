@@ -5,6 +5,13 @@ theta = C * omega with omega a simplex point, so the L1 budget
 sum theta_i = C holds by construction. Residual noise has unit variance.
 To fit data whose noise has a known standard deviation sigma, pass targets
 y / sigma and budget C / sigma, then multiply the fitted theta by sigma.
+
+Every solve evaluates RSS through :class:`ResidualForm`, which keeps only
+the Gram X'X, X'y and y'y. The polynomial design X = [1, x, ..., x^(K-1)]
+has a Hankel Gram, G[i, j] = sum x^(i+j), so the form of a polynomial fit
+is built from the 2K - 1 power sums sum x^m and the K moments sum x^m y,
+and X itself is never formed. An explicit design enters the form through
+X'X and X'y instead.
 """
 
 from __future__ import annotations
@@ -114,12 +121,47 @@ def predict(theta, x):
     return float(values[0]) if np.ndim(x) == 0 else values
 
 
+def _power_sums(xs: np.ndarray, ys: np.ndarray, order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gram and X'y of the design [1, x, ..., x^(order-1)] from power sums.
+
+    G[i, j] = S[i + j] with S[m] = sum x^m, m < 2 order - 1, a Hankel
+    matrix, and (X'y)[m] = sum x^m y, m < order. One buffer holds the
+    running power x^m and the other the running x^m y; each is multiplied
+    by x in place and summed, so the call allocates two length-N arrays.
+    """
+    sums = np.empty(2 * order - 1)
+    xty = np.empty(order)
+    power, weighted = xs.copy(), ys.copy()
+    sums[0] = xs.shape[0]
+    # np.add.reduce is ndarray.sum (pairwise) without its Python-level
+    # wrapper, whose overhead is most of the cost at N = 100.
+    xty[0] = np.add.reduce(weighted)
+    for m in range(1, 2 * order - 1):
+        if m > 1:
+            np.multiply(power, xs, out=power)
+        sums[m] = np.add.reduce(power)
+        if m < order:
+            np.multiply(weighted, xs, out=weighted)
+            xty[m] = np.add.reduce(weighted)
+    span = np.arange(order)
+    return sums[span[:, None] + span], xty
+
+
 class ResidualForm:
     """Residual sum of squares against a fixed design, for many coefficient rows.
 
     Precomputes the Gram matrix so each evaluation costs O(K^2) instead of
     O(N K); values are clipped at zero to absorb cancellation. Keeps only the
     sufficient statistics (Gram, X'y, y'y), never the N-row design or targets.
+
+    There are two ways in. ``design`` is an explicit (N, K) design, whose
+    Gram and X'y are the products X'X and X'y. With ``order`` K, ``design``
+    is instead the 1-D inputs x of the polynomial design
+    [1, x, ..., x^(K-1)], whose statistics come from power sums (see
+    :func:`_power_sums`) in O(N K) time and two length-N buffers, so
+    neither the N x K design nor the (2K - 1) x N powers are formed. Every
+    solve and baseline on a dataset takes the polynomial way; the explicit
+    way serves callers of ``ip_solve`` that hold a design of their own.
 
     With ``split`` true the form is that of the signed split design [X, -X],
     built from the K-column statistics as [[G, -G], [-G, G]] and
@@ -129,9 +171,19 @@ class ResidualForm:
     solver on the form can take its statistics as finite.
     """
 
-    def __init__(self, design: np.ndarray, targets: np.ndarray, split: bool = False):
-        gram = design.T @ design
-        xty = design.T @ targets
+    def __init__(
+        self,
+        design: np.ndarray,
+        targets: np.ndarray,
+        split: bool = False,
+        *,
+        order: int | None = None,
+    ):
+        if order is None:
+            gram = design.T @ design
+            xty = design.T @ targets
+        else:
+            gram, xty = _power_sums(np.asarray(design, dtype=np.float64), targets, order)
         if not (np.all(np.isfinite(gram)) and np.all(np.isfinite(xty))):
             raise BalsonError("non-finite Gram or X'y: the design overflows")
         if split:

@@ -46,7 +46,7 @@ from scipy import special
 from .baselines import IpParams, _barrier_qp
 from .dirichlet import DirichletParams, match_moments_per_dim, sample_batch
 from .exceptions import BalsonError, DegenerateWeightsError, RejectionBudgetError
-from .model import Dataset, ModelSpec, ResidualForm, design_matrix, integral
+from .model import Dataset, ModelSpec, ResidualForm, integral
 
 DEFAULT_SAMPLE_COUNT = 10_000
 DEFAULT_RESAMPLE_ROUNDS = 100
@@ -214,9 +214,9 @@ def normalize_log_weights(log_weights: np.ndarray) -> tuple[np.ndarray, float]:
 class Problem:
     """One solve's residual form and budget C; every round of the solve shares it.
 
-    The form holds only the data's sufficient statistics, so no solve frame
-    binds the N x K design, and a failed solve's traceback cannot keep it
-    alive. ``floor``, the RS envelope floor, is taken on first use.
+    The form holds only the data's sufficient statistics, built from power
+    sums, so no solve forms the N x K design. ``floor``, the RS envelope
+    floor, is taken on first use.
     """
 
     form: ResidualForm
@@ -228,15 +228,17 @@ class Problem:
     ) -> Problem:
         """The problem of fitting ``data`` at ``spec`` from ``prior``.
 
-        With ``signed`` the form is the split reduction's (see
-        :class:`~balson.model.ResidualForm`), and the prior covers its 2K
+        The form is the polynomial one of :class:`~balson.model.ResidualForm`:
+        its Hankel Gram and X'y come from the power sums sum x^m and
+        sum x^m y of the data. With ``signed`` it is the split reduction's,
+        built from the same K x K statistics, and the prior covers its 2K
         dimensions.
         """
         if signed and len(prior) != 2 * spec.order:
             raise ValueError("prior dimension must be twice the signed order")
         if not signed and len(prior) != spec.order:
             raise ValueError("prior dimension must equal the model order")
-        form = ResidualForm(design_matrix(data.inputs, spec.order), data.targets, signed)
+        form = ResidualForm(data.inputs, data.targets, signed, order=spec.order)
         return cls(form, spec.scale)
 
     @cached_property

@@ -4,10 +4,12 @@ Pipeline: build the solve's :class:`~balson.samplers.Problem`, run
 :func:`~balson.samplers.fit_posterior`, the sampling loop, at the selected
 scheme of :data:`~balson.samplers.SCHEMES`, take the sparse mode of the
 Dirichlet it fits, and rescale back to the coefficient budget.
+The problem's residual form comes from the data's power sums (see
+:class:`~balson.model.ResidualForm`), so no solve forms the N x K design.
 The problem takes the RS envelope floor lazily, on the first rejection pass,
 so IS and ISIRS never compute it. The signed entry point covers ordinary L1
 problems through the split reduction, whose residual form is built from the
-K-column statistics.
+same K x K statistics.
 """
 
 from __future__ import annotations
@@ -112,8 +114,8 @@ def solve_signed(data: Dataset, cfg: BalsonConfig) -> np.ndarray:
 
     The solve runs in dimension 2 * order on the nonnegative split vector,
     against the residual form of the design [phi(x), -phi(x)]. That form is
-    built from the order-column statistics (see ``Problem.of``), so the split
-    design itself is never formed. The halves are merged back to signed
+    built from the order x order power-sum statistics (see ``Problem.of``),
+    so neither phi(x) nor the split design is ever formed. The halves are merged back to signed
     coefficients whose absolute sum is at most the budget.
     """
     problem = Problem.of(data, cfg.prior, cfg.spec, signed=True)

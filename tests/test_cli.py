@@ -167,6 +167,17 @@ def test_bench_value_of_the_wrong_type(tmp_path, capsys, raw):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("budget", [-1.0, 0.0, float("inf"), float("nan"), "1", None])
+def test_bench_budget_that_is_not_positive_and_finite(tmp_path, capsys, budget):
+    # The message names the config key, not ModelSpec's field "scale".
+    config = tmp_path / "bench.json"
+    config.write_text(json.dumps({"budget": budget}))
+    assert cli.main(["bench", "--config", str(config), "--out-dir", str(tmp_path / "out")]) == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: budget must be") and "scale" not in err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize(
     "raw",
     [

@@ -133,9 +133,12 @@ class TestSample:
 
 
 def broadcast_gamma_draw(rng, count, k):
-    """The flat draw as a Dirichlet through unit-shape gammas, normalised by row sums."""
+    """The flat draw as a Dirichlet through unit-shape gammas, normalised by row sums.
+
+    The sums are taken as sample_batch takes them, as a product with ones.
+    """
     draws = rng.standard_gamma(np.ones(k), size=(count, k))
-    return draws / draws.sum(axis=1)[:, None]
+    return draws / (draws @ np.ones(k))[:, None]
 
 
 class TestFlatPath:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from balson import (
     rescale,
     split_signed,
 )
+from balson.exceptions import BalsonError
 from balson.model import ResidualForm
 from conftest import direct_rss
 
@@ -266,3 +268,65 @@ class TestResidualForm:
         np.testing.assert_allclose(split.gram, wide.gram, rtol=1e-12, atol=0.0)
         np.testing.assert_allclose(split.xty, wide.xty, rtol=1e-12, atol=0.0)
         assert split.yty == wide.yty
+
+
+class TestPolynomialForm:
+    """The power-sum form of [1, x, ..., x^(K-1)] against the explicit design's."""
+
+    @staticmethod
+    def bound(xs, ys, order, split):
+        """Scale-aware bound on |polynomial - explicit| for the Gram and X'y.
+
+        Each entry of either way is a sum of N terms x^m or x^m y, m <= 2K - 2,
+        each term rounded by at most m products, so it lies within
+        (m + N) eps times the sum of the terms' magnitudes of the exact sum.
+        The two ways then differ by at most twice that.
+        """
+        eps = np.finfo(float).eps
+        n = xs.shape[0]
+        rows = np.abs(design_matrix(xs, order))
+        gram = 2.0 * (2 * order + n) * eps * (rows.T @ rows)
+        xty = 2.0 * (order + n) * eps * (rows.T @ np.abs(ys))
+        if split:
+            gram = np.block([[gram, gram], [gram, gram]])
+            xty = np.concatenate([xty, xty])
+        return gram, xty
+
+    @pytest.mark.parametrize("split", [False, True])
+    @pytest.mark.parametrize("low", [0.0, -1.0])
+    @pytest.mark.parametrize("n", [0, 1, 100, 10_000])
+    @pytest.mark.parametrize("order", [2, 5, 10, 20])
+    def test_matches_the_explicit_design(self, order, n, low, split):
+        rng = np.random.default_rng([order, n, int(-low)])
+        xs = rng.uniform(low, 1.0, n)
+        ys = rng.normal(size=n)
+        poly = ResidualForm(xs, ys, split, order=order)
+        explicit = ResidualForm(design_matrix(xs, order), ys, split)
+        gram_bound, xty_bound = self.bound(xs, ys, order, split)
+        width = 2 * order if split else order
+        assert poly.gram.shape == (width, width) and poly.xty.shape == (width,)
+        assert np.all(np.abs(poly.gram - explicit.gram) <= gram_bound)
+        assert np.all(np.abs(poly.xty - explicit.xty) <= xty_bound)
+        assert poly.yty == explicit.yty
+
+    def test_allocates_no_design(self):
+        # Two length-N buffers; an N x K design would take K times one.
+        n, order = 100_000, 20
+        xs = np.linspace(-1.0, 1.0, n)
+        ys = np.cos(xs)
+        tracemalloc.start()
+        try:
+            ResidualForm(xs, ys, True, order=order)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * n * xs.itemsize
+
+    @pytest.mark.parametrize("split", [False, True])
+    @pytest.mark.parametrize("big", [[1e100], [1e100, -1e100]])
+    def test_overflow_raises(self, split, big):
+        xs = np.linspace(0.0, 1.0, 20)
+        xs[3 : 3 + len(big)] = big
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(BalsonError, match="non-finite Gram or X'y"):
+                ResidualForm(xs, np.ones(20), split, order=5)

@@ -10,17 +10,22 @@ from scipy.special import gammainccinv
 
 from balson import (
     BalsonConfig,
+    BaselineConfig,
     Dataset,
+    GibbsParams,
     ModelSpec,
     RejectionBudgetError,
     SamplerConfig,
+    bayesian_lasso_fit,
     design_matrix,
+    ip_fit,
+    lasso_fit,
     rejection_sample,
     solve,
     solve_signed,
     uniform_prior,
 )
-from balson import samplers
+from balson import baselines, model, samplers, solver
 from balson.bench import PAPER_THETA, ExperimentConfig, generate_dataset, method_seed
 from balson.exceptions import BalsonError, MomentMatchingError
 from balson.model import ResidualForm, predict
@@ -155,19 +160,24 @@ class TestFailedSolvePinsNothing:
 class TestOneResidualProblemPerSolve:
     @pytest.fixture
     def counts(self, monkeypatch):
-        counts = {"builds": 0, "floors": 0, "columns": []}
-        init, floor = ResidualForm.__init__, samplers.min_rss
+        counts = {"builds": 0, "floors": 0, "grams": []}
+        init, sums, floor = ResidualForm.__init__, model._power_sums, samplers.min_rss
 
-        def counted_init(self, *args):
+        def counted_init(self, *args, **kwargs):
             counts["builds"] += 1
-            counts["columns"].append(args[0].shape[1])
-            init(self, *args)
+            init(self, *args, **kwargs)
+
+        def recorded_sums(*args):
+            gram, xty = sums(*args)
+            counts["grams"].append(gram.shape)
+            return gram, xty
 
         def counted_floor(*args):
             counts["floors"] += 1
             return floor(*args)
 
         monkeypatch.setattr(ResidualForm, "__init__", counted_init)
+        monkeypatch.setattr(model, "_power_sums", recorded_sums)
         monkeypatch.setattr(samplers, "min_rss", counted_floor)
         return counts
 
@@ -179,7 +189,7 @@ class TestOneResidualProblemPerSolve:
         ids=[f"{m}-{f}" for m, f in SCHEMES] + [f"signed-{m}-{f}" for m, f in SCHEMES],
     )
     def test_built_once(self, counts, signed, method, floors):
-        # One form per solve, built from the K-column design even when signed,
+        # One form per solve, built from the K x K power-sum Gram even when signed,
         # and the RS floor taken only by the schemes that start with RS.
         cfg = config(method, sample_count=200)
         if signed:
@@ -189,7 +199,27 @@ class TestOneResidualProblemPerSolve:
             report = solve(paper_like(100), cfg)
             rounds = 1 if method in ("RS", "IS") else 4
             assert len(report.diagnostics.ess_per_round) == rounds
-        assert counts == {"builds": 1, "floors": floors, "columns": [len(PAPER_THETA)]}
+        k = len(PAPER_THETA)
+        assert counts == {"builds": 1, "floors": floors, "grams": [(k, k)]}
+
+    def test_no_fit_forms_the_design(self, monkeypatch):
+        # Every form of a dataset fit comes from power sums, never from the
+        # N x K design. The data are made first: predict forms the design.
+        data, k = paper_like(100), len(PAPER_THETA)
+
+        def no_design(*args):
+            raise AssertionError("design_matrix called")
+
+        for module in (model, samplers, solver, baselines):
+            monkeypatch.setattr(module, "design_matrix", no_design, raising=False)
+        spec, baseline = ModelSpec(k, 1.0), BaselineConfig(gibbs=GibbsParams(iterations=50, burn_in=10))
+        for method in METHODS:
+            assert solve(data, config(method, sample_count=200)).theta_star.theta.shape == (k,)
+        signed = dataclasses.replace(config("IS", sample_count=200), prior=uniform_prior(2 * k))
+        assert solve_signed(data, signed).shape == (k,)
+        assert lasso_fit(data, spec, baseline).shape == (k,)
+        assert ip_fit(data, spec, baseline).theta.shape == (k,)
+        assert bayesian_lasso_fit(data, spec, baseline).shape == (k,)
 
     def test_form_keeps_only_statistics(self):
         form = ResidualForm(design_matrix(np.linspace(0, 1, 50), 3), np.ones(50))
