@@ -6,6 +6,8 @@ sparse mode gives the fit. Includes baseline solvers and a benchmark
 harness for head-to-head comparisons.
 """
 
+from types import ModuleType as _ModuleType
+
 from .baselines import (
     BaselineConfig,
     GibbsParams,
@@ -70,65 +72,10 @@ from .samplers import (
 )
 from .solver import BalsonConfig, FitReport, SolveDiagnostics, solve, solve_signed, uniform_prior
 
+# Every public name the imports above bind, and no submodule.
+__all__ = sorted(
+    name
+    for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
+)
 __version__ = "0.1.0"
-
-__all__ = [
-    "ALL_METHODS",
-    "PAPER_THETA",
-    "BalsonConfig",
-    "BalsonError",
-    "BaselineConfig",
-    "Dataset",
-    "DegenerateStatisticError",
-    "DegenerateWeightsError",
-    "DirichletParams",
-    "ExperimentConfig",
-    "FitReport",
-    "GibbsParams",
-    "IpParams",
-    "LassoParams",
-    "ModeUndefinedError",
-    "ModelSpec",
-    "MomentMatchingError",
-    "ParameterVector",
-    "RejectionBudgetError",
-    "ResultTable",
-    "RunRecord",
-    "SamplerConfig",
-    "SimplexVector",
-    "SolveDiagnostics",
-    "Summary",
-    "UnboundedDensityError",
-    "WeightedSampleSet",
-    "bayesian_lasso_fit",
-    "design_matrix",
-    "emit_outputs",
-    "generate_dataset",
-    "importance_sample",
-    "ip_fit",
-    "ip_solve",
-    "lasso_coordinate_descent",
-    "lasso_fit",
-    "log_density",
-    "log_likelihood",
-    "log_posterior_unnorm",
-    "match_moments_per_dim",
-    "merge_signed",
-    "mode",
-    "moments",
-    "mse",
-    "normalize_log_weights",
-    "paired_t_test",
-    "predict",
-    "rejection_sample",
-    "rescale",
-    "run_experiment",
-    "sample_batch",
-    "solve",
-    "solve_signed",
-    "sparsity",
-    "split_signed",
-    "summarize",
-    "uniform_prior",
-    "weighted_moments",
-]

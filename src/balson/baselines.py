@@ -1,23 +1,10 @@
 """Reference solvers: budgeted LASSO, log-barrier interior point, Bayesian LASSO.
 
 The RS envelope floor, LASSO and IP share one constrained-QP core,
-:func:`_barrier_qp`: a log-barrier Newton method for min RSS over the
-equality simplex {theta >= 0, sum theta = C}, on RSS's sufficient statistics
-(Gram, X'y, y'y) from a :class:`~balson.model.ResidualForm`. On a dataset,
-``lasso_fit``, ``ip_fit`` and ``bayesian_lasso_fit`` take the form's
-polynomial way in, whose Hankel Gram and X'y come from the power sums
-sum x^m and sum x^m y, so no baseline forms the N x K design; ``ip_solve``
-also takes an explicit design, the form's other way in. IP solves
-min RSS s.t. theta >= 0, sum theta <= C on the core with one slack
-coordinate. LASSO solves the constrained form min RSS s.t. ||theta||_1 <= C
-(Tibshirani 1996) as the same problem on the split design [X, -X].
-:func:`lasso_coordinate_descent` solves the penalised form
-min RSS + lam ||theta||_1 for a given penalty; ``lasso_fit`` does not use it.
-:func:`bayesian_lasso_fit` runs its Gibbs chain on LAPACK's Cholesky and
-triangular solves. The form raises :class:`BalsonError` if the Gram or X'y
-is non-finite, so no solver starts on an overflowing design.
-Implemented at the fidelity needed for head-to-head metric comparisons
-against the Dirichlet-posterior solver, nothing more.
+:func:`_barrier_qp`, on the sufficient statistics of a
+:class:`~balson.model.ResidualForm`. Implemented at the fidelity needed for
+head-to-head metric comparisons against the Dirichlet-posterior solver,
+nothing more.
 """
 
 from __future__ import annotations
@@ -36,6 +23,7 @@ from .model import (
     ResidualForm,
     integral,
     merge_signed,
+    seed_field,
 )
 
 
@@ -93,8 +81,9 @@ class GibbsParams:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("iterations", "burn_in", "seed"):
+        for name in ("iterations", "burn_in"):
             object.__setattr__(self, name, integral(getattr(self, name), name))
+        object.__setattr__(self, "seed", seed_field(self.seed, "seed"))
         if self.burn_in < 0:
             raise ValueError("burn_in must be >= 0")
         if self.iterations <= self.burn_in:
@@ -130,10 +119,9 @@ def lasso_coordinate_descent(
     """Cyclic coordinate descent on the penalised form ||y - X theta||^2 + lam ||theta||_1.
 
     Its solution at penalty lam is :func:`lasso_fit`'s at budget
-    C = ||theta_lam||_1. The quadratic term is un-halved, so each coordinate
-    update soft-thresholds at lam/2. Appends the objective after every sweep
-    to ``trace`` when given;
-    raises :class:`BalsonError` if the sweep cap is hit before the largest
+    C = ||theta_lam||_1, but ``lasso_fit`` does not call it. The quadratic
+    term is un-halved, so each coordinate update soft-thresholds at lam/2.
+    Appends the objective after every sweep to ``trace`` when given; raises :class:`BalsonError` if the sweep cap is hit before the largest
     coordinate move falls below ``sweep_tol``.
     """
     gram = design.T @ design
@@ -172,11 +160,9 @@ def lasso_fit(data: Dataset, spec: ModelSpec, cfg: BaselineConfig) -> np.ndarray
 
     Splitting theta = theta+ - theta- with both parts nonnegative turns the
     L1 ball into {theta+, theta- >= 0, sum <= C} on the design [X, -X], which
-    is IP's problem (Tibshirani 1996). Its statistics come from the split
-    :class:`~balson.model.ResidualForm`, the same one the signed BALSON
-    solve uses, which builds [[G, -G], [-G, G]] and [X'y, -X'y] from the
-    K x K power-sum Gram G and never forms X or [X, -X]. The stopping
-    tolerance is ``cfg.ip``'s; ``cfg.lasso`` is ignored.
+    is IP's problem (Tibshirani 1996), on the split
+    :class:`~balson.model.ResidualForm` that the signed BALSON solve uses.
+    The stopping tolerance is ``cfg.ip``'s; ``cfg.lasso`` is ignored.
     """
     form = ResidualForm(data.inputs, data.targets, True, order=spec.order)
     return merge_signed(_within_budget(form, spec.scale, cfg.ip))
@@ -197,8 +183,7 @@ def ip_solve(
 ) -> np.ndarray:
     """Log-barrier solve of min RSS s.t. theta >= 0, sum theta <= C.
 
-    ``design`` is an explicit design, or with ``order`` the inputs of the
-    polynomial design, as in :class:`~balson.model.ResidualForm`.
+    ``design`` and ``order`` are :class:`~balson.model.ResidualForm`'s.
     """
     return _within_budget(ResidualForm(design, targets, order=order), budget, params)
 

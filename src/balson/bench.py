@@ -1,9 +1,9 @@
 """Benchmark harness: seeded data generation, multi-method runs, summary tables.
 
-Within one repetition every method fits the identical training set; noise is
-regenerated per repetition from (base_seed, repetition). Per-row solver seeds
-derive from (base_seed, repetition, method), so sequential and parallel
-schedules produce the same table after the final deterministic sort.
+Within one repetition every method fits the identical training set (see
+:func:`generate_dataset`), and each row's solver seed is
+:func:`method_seed`'s, so sequential and parallel schedules produce the same
+table after the final deterministic sort.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from .baselines import BaselineConfig, bayesian_lasso_fit, ip_fit, lasso_fit
 from .bench_output import QUALITY, RunRecord, write_outputs
 from .exceptions import BalsonError, DegenerateStatisticError
 from .metrics import mse, paired_t_test, sparsity
-from .model import Dataset, ModelSpec, integral, predict
+from .model import Dataset, ModelSpec, integral, predict, seed_field
 from .samplers import SamplerConfig
 from .solver import METHODS, BalsonConfig, solve, uniform_prior
 
@@ -38,9 +38,7 @@ ALL_METHODS = BASELINE_METHODS + BALSON_METHODS
 class ExperimentConfig:
     """Full experiment definition; defaults reproduce the polynomial benchmark.
 
-    Every row's solver seed is ``method_seed(base_seed, repetition, method)``,
-    so ``sampler.seed`` and ``baselines.gibbs.seed`` change nothing here,
-    although ``config.json`` echoes them: vary ``base_seed`` instead.
+    Row seeds come from ``base_seed`` alone (see :func:`method_seed`).
     """
 
     true_theta: tuple[float, ...] = PAPER_THETA
@@ -59,8 +57,9 @@ class ExperimentConfig:
         theta = tuple(float(t) for t in self.true_theta)
         object.__setattr__(self, "true_theta", theta)
         object.__setattr__(self, "methods", tuple(self.methods))
-        for name in ("n_train", "n_test", "repetitions", "base_seed", "workers"):
+        for name in ("n_train", "n_test", "repetitions", "workers"):
             object.__setattr__(self, name, integral(getattr(self, name), name))
+        object.__setattr__(self, "base_seed", seed_field(self.base_seed, "base_seed"))
         if len(theta) < 2 or any(t < 0 or not np.isfinite(t) for t in theta):
             raise ValueError("true_theta must be nonnegative, finite, length >= 2")
         if self.n_train < len(theta) or self.n_train < 2:
@@ -124,7 +123,13 @@ def dataset_digest(data: Dataset) -> str:
 
 
 def method_seed(base_seed: int, repetition: int, method: str) -> int:
-    """Stable per-row seed; independent of which methods were enabled."""
+    """The solver seed of one row, from (base_seed, repetition, method).
+
+    It does not depend on which methods are enabled or on the schedule. It
+    takes the place of ``sampler.seed`` and ``baselines.gibbs.seed``, so
+    these change no row, although ``config.json`` echoes them: vary
+    ``base_seed`` instead.
+    """
     index = ALL_METHODS.index(method)
     state = np.random.SeedSequence([base_seed, repetition, index]).generate_state(1, np.uint64)
     return int(state[0])

@@ -17,7 +17,7 @@ from .bench import config_from_mapping, emit_outputs, run_experiment, summarize
 from .dirichlet import DirichletParams, match_moments_per_dim, moments, sample_batch
 from .exceptions import BalsonError
 from .model import Dataset, ModelSpec
-from .samplers import DEFAULT_RESAMPLE_ROUNDS, DEFAULT_SAMPLE_COUNT, SamplerConfig
+from .samplers import DEFAULT_RESAMPLE_ROUNDS, DEFAULT_SAMPLE_COUNT, MIN_SAMPLE_COUNT, SamplerConfig
 from .solver import METHODS, BalsonConfig, FitReport, solve, uniform_prior
 
 EXIT_OK = 0
@@ -59,7 +59,7 @@ def _build_parser() -> _Parser:
     diag = sub.add_parser("sample-diag", help="print prior-sampling moment diagnostics")
     diag.add_argument("--order", required=True, type=int)
     diag.add_argument("--prior", default="uniform")
-    diag.add_argument("--samples", type=int, default=10_000)
+    diag.add_argument("--samples", type=int, default=DEFAULT_SAMPLE_COUNT)
     diag.add_argument("--seed", type=int, default=0)
     return parser
 
@@ -89,10 +89,14 @@ def _read_xy_csv(path: str) -> Dataset:
         for lineno, row in enumerate(reader, start=2):
             if not row:
                 continue
+            if len(row) != 2:
+                raise _UsageError(
+                    f"{path}:{lineno}: bad row {row}: expected 2 fields, got {len(row)}"
+                )
             try:
                 xs.append(float(row[0]))
                 ys.append(float(row[1]))
-            except (ValueError, IndexError) as err:
+            except ValueError as err:
                 raise _UsageError(f"{path}:{lineno}: bad row {row}: {err}") from err
     return Dataset(np.asarray(xs), np.asarray(ys))
 
@@ -165,8 +169,8 @@ def _cmd_bench(args) -> int:
 
 def _cmd_sample_diag(args) -> int:
     prior = _parse_prior(args.prior, args.order)
-    if args.samples < 100:
-        raise _UsageError("--samples must be at least 100")
+    if args.samples < MIN_SAMPLE_COUNT:
+        raise _UsageError(f"--samples must be at least {MIN_SAMPLE_COUNT}")
     rng = np.random.default_rng([args.seed])
     draws = sample_batch(prior, rng, args.samples)
     mean_hat = draws.mean(axis=0)

@@ -25,11 +25,8 @@ class MomentMatchingError(BalsonError):
 class RejectionBudgetError(BalsonError):
     """A rejection pass cannot accept enough samples within its proposal budget.
 
-    Raised once the budget is spent, or earlier, as soon as a one-sided
-    Clopper-Pearson bound at level delta = 1e-12 on the acceptance rate shows
-    that the proposals left cannot deliver the samples still needed. A pass
-    that the whole budget would have finished is stopped with probability at
-    most ceil(max_proposals / 50,000) delta. The message reads
+    Raised as soon as the proposals left cannot deliver the samples still
+    needed (see ``balson.samplers._cannot_finish``). The message reads
     "{n} proposals yielded {a} acceptances (need {L})".
     """
 

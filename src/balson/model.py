@@ -2,16 +2,9 @@
 
 The fitting problem lives on the scaled simplex: coefficients are
 theta = C * omega with omega a simplex point, so the L1 budget
-sum theta_i = C holds by construction. Residual noise has unit variance.
-To fit data whose noise has a known standard deviation sigma, pass targets
-y / sigma and budget C / sigma, then multiply the fitted theta by sigma.
-
-Every solve evaluates RSS through :class:`ResidualForm`, which keeps only
-the Gram X'X, X'y and y'y. The polynomial design X = [1, x, ..., x^(K-1)]
-has a Hankel Gram, G[i, j] = sum x^(i+j), so the form of a polynomial fit
-is built from the 2K - 1 power sums sum x^m and the K moments sum x^m y,
-and X itself is never formed. An explicit design enters the form through
-X'X and X'y instead.
+sum theta_i = C holds by construction. Residual noise has unit variance
+(see :class:`ModelSpec`). Every solve and baseline evaluates RSS through
+:class:`ResidualForm`.
 """
 
 from __future__ import annotations
@@ -60,6 +53,18 @@ def integral(value, name: str) -> int:
     if not whole:
         raise ValueError(f"{name} must be an integer")
     return int(value)
+
+
+def seed_field(value, name: str) -> int:
+    """``value`` as a config's seed field: an :func:`integral` value in [0, 2^64).
+
+    Raises ValueError "<name> must fit in 64 bits" otherwise, so a bad seed
+    fails where it is set, not later inside numpy's seeding.
+    """
+    seed = integral(value, name)
+    if not 0 <= seed < 2**64:
+        raise ValueError(f"{name} must fit in 64 bits")
+    return seed
 
 
 @dataclass(frozen=True)

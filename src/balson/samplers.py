@@ -1,37 +1,10 @@
 """Monte-Carlo estimation of the Dirichlet-approximated posterior.
 
-Four schemes: rejection sampling, importance sampling, and their iterated
-importance-resampling variants that re-fit the Dirichlet proposal over R
-refinement rounds. All schemes are deterministic given the configured seed;
-round ``i`` always consumes the substream ``default_rng([seed, i])``.
-
-All four are one public loop, :func:`fit_posterior`, and :data:`SCHEMES`
-holds each scheme's settings of it: round 0's kernel, and whether
-refinement rounds follow. RS and IS are its round 0 alone. Every solve
-builds one :class:`Problem`, its residual form and budget C, and passes it
-to every round. The RS envelope floor is a lazy property of the
-problem, taken once, on the first rejection pass, so a scheme that starts
-with importance sampling never pays for it.
-
-Each pass allocates one :class:`_Workspace` up front, and every RS chunk and
-IS round writes its draws, C omega, theta G and RSS into it, so a pass of R
-rounds makes no per-round rows x K temporaries. A workspace never
-outlives its pass: when a solve fails, the loop releases the workspace
-from every frame of the traceback before raising, so a caught error pins
-no buffer, and the public wrappers return arrays they own.
-
-A rejection pass stops as soon as it cannot finish. After each chunk of
-50,000 proposals, with a acceptances in n proposals, ``need`` still
-wanted and R proposals left, it takes the one-sided Clopper-Pearson upper
-bound p_hi on the acceptance rate (Clopper & Pearson 1934), the 1 - delta/2
-quantile of Beta(a + 1, n - a), and raises :class:`RejectionBudgetError`
-once P(Bin(R, p_hi) >= need) < delta/2, with delta = 1e-12. R = 0 always
-stops, and a pass that has accepted every proposal never does. Each chunk
-stops a pass that the whole budget would have finished with probability at
-most delta, so a solve is stopped wrongly with probability at most
-ceil(max_proposals / 50,000) delta: 2e-10 at the default cap of 10^7. The
-check reads only counters and draws no random numbers, so every pass that
-finishes returns the same bits as a pass without it.
+Four schemes, rejection sampling (RS), importance sampling (IS) and their
+iterated importance-resampling variants RSIRS and ISIRS, are the settings
+in :data:`SCHEMES` of one loop, :func:`fit_posterior`. Each solve builds one
+:class:`Problem` and each pass one :class:`_Workspace`; a rejection pass
+stops early by :func:`_cannot_finish`.
 """
 
 from __future__ import annotations
@@ -46,15 +19,14 @@ from scipy import special
 from .baselines import IpParams, _barrier_qp
 from .dirichlet import DirichletParams, match_moments_per_dim, sample_batch
 from .exceptions import BalsonError, DegenerateWeightsError, RejectionBudgetError
-from .model import Dataset, ModelSpec, ResidualForm, integral
+from .model import Dataset, ModelSpec, ResidualForm, integral, seed_field
 
 DEFAULT_SAMPLE_COUNT = 10_000
+MIN_SAMPLE_COUNT = 100
 DEFAULT_RESAMPLE_ROUNDS = 100
 PROPOSAL_BUDGET_FACTOR = 1000
 _CHUNK = 50_000
-# delta: a chunk stops a rejection pass that could still finish with
-# probability at most this.
-_STOP_DELTA = 1e-12
+_STOP_DELTA = 1e-12  # delta of _cannot_finish
 # The four schemes: name -> (round 0's kernel, whether R refinement rounds
 # follow). The order is the schemes' order everywhere, bench seeds included.
 SCHEMES = {"RS": ("rs", False), "IS": ("is", False), "RSIRS": ("rs", True), "ISIRS": ("is", True)}
@@ -65,10 +37,7 @@ class SamplerConfig:
     """Monte-Carlo knobs: L, refinement rounds R, RS proposal cap, seed.
 
     ``max_proposals`` (default 1000 L) caps the proposals of one rejection
-    pass. The pass raises before the cap once a one-sided Clopper-Pearson
-    bound at level delta = 1e-12 shows that the proposals left cannot
-    deliver L acceptances; a solve that the whole cap would have finished is
-    stopped so with probability at most ceil(max_proposals / 50,000) delta.
+    pass, which may stop sooner (see :func:`_cannot_finish`).
     """
 
     sample_count: int = DEFAULT_SAMPLE_COUNT
@@ -79,16 +48,15 @@ class SamplerConfig:
     def __post_init__(self):
         if self.max_proposals is None:
             object.__setattr__(self, "max_proposals", PROPOSAL_BUDGET_FACTOR * self.sample_count)
-        for name in ("sample_count", "resample_rounds", "max_proposals", "seed"):
+        for name in ("sample_count", "resample_rounds", "max_proposals"):
             object.__setattr__(self, name, integral(getattr(self, name), name))
-        if self.sample_count < 100:
-            raise ValueError("sample_count must be at least 100")
+        object.__setattr__(self, "seed", seed_field(self.seed, "seed"))
+        if self.sample_count < MIN_SAMPLE_COUNT:
+            raise ValueError(f"sample_count must be at least {MIN_SAMPLE_COUNT}")
         if self.resample_rounds < 0:
             raise ValueError("resample_rounds must be >= 0")
         if self.max_proposals < self.sample_count:
             raise ValueError("max_proposals must be >= sample_count")
-        if not (0 <= self.seed < 2**64):
-            raise ValueError("seed must fit in 64 bits")
 
 
 @dataclass(frozen=True)
@@ -152,7 +120,14 @@ class _Workspace:
     Three rows x K arrays hold the draws, C omega and theta G, and two
     vectors of length rows hold the RSS and its quadratic term; the second
     vector then takes RS's uniforms. A pass of ``m <= rows`` draws uses
-    the first ``m`` rows of each.
+    the first ``m`` rows of each, so a pass of R rounds makes no per-round
+    rows x K temporaries.
+
+    A workspace never outlives its pass. IS samples are views of its draws,
+    valid until its next pass; RS keeps copies. When a solve fails, the loop
+    releases the workspace from every frame of the traceback before raising,
+    so a caught error pins no buffer, and the public wrappers return arrays
+    they own.
     """
 
     def __init__(self, rows: int, k: int):
@@ -173,7 +148,7 @@ class _Workspace:
 
 
 def round_rng(seed: int, round_index: int) -> np.random.Generator:
-    """Substream for one sampling round, derived from (seed, round index)."""
+    """The substream of one sampling round, so every scheme is deterministic given its seed."""
     return np.random.default_rng([seed, round_index])
 
 
@@ -212,12 +187,7 @@ def normalize_log_weights(log_weights: np.ndarray) -> tuple[np.ndarray, float]:
 
 @dataclass(frozen=True)
 class Problem:
-    """One solve's residual form and budget C; every round of the solve shares it.
-
-    The form holds only the data's sufficient statistics, built from power
-    sums, so no solve forms the N x K design. ``floor``, the RS envelope
-    floor, is taken on first use.
-    """
+    """One solve's residual form and budget C; every round of the solve shares it."""
 
     form: ResidualForm
     budget: float
@@ -228,11 +198,8 @@ class Problem:
     ) -> Problem:
         """The problem of fitting ``data`` at ``spec`` from ``prior``.
 
-        The form is the polynomial one of :class:`~balson.model.ResidualForm`:
-        its Hankel Gram and X'y come from the power sums sum x^m and
-        sum x^m y of the data. With ``signed`` it is the split reduction's,
-        built from the same K x K statistics, and the prior covers its 2K
-        dimensions.
+        Its form is :class:`~balson.model.ResidualForm`'s polynomial one, or
+        with ``signed`` the split one, and then the prior covers 2K dimensions.
         """
         if signed and len(prior) != 2 * spec.order:
             raise ValueError("prior dimension must be twice the signed order")
@@ -243,12 +210,16 @@ class Problem:
 
     @cached_property
     def floor(self) -> float:
-        """The RS envelope floor :func:`min_rss`, computed once per problem."""
+        """The RS envelope floor :func:`min_rss`, taken on first use and then kept.
+
+        Only a rejection pass reads it, so IS and ISIRS never compute it.
+        """
         return min_rss(self.form, self.budget)
 
 
 def _rate_bound(accepted: int, proposed: int) -> float:
-    """p_hi: the one-sided Clopper-Pearson upper bound on an acceptance rate.
+    """p_hi: the one-sided Clopper-Pearson upper bound on an acceptance rate
+    (Clopper & Pearson 1934).
 
     The 1 - delta/2 quantile of Beta(accepted + 1, proposed - accepted), so
     the true rate exceeds it with probability at most delta/2; 1 when every
@@ -264,8 +235,16 @@ def _cannot_finish(accepted: int, proposed: int, need: int, left: int) -> bool:
     rate bound p_hi, yield the ``need`` acceptances still wanted with
     probability P(Bin(left, p_hi) >= need) below delta/2.
 
-    Fewer proposals than acceptances needed, R = 0 included, always stop; a
-    pass that has accepted every proposal, where p_hi = 1, never does.
+    A rejection pass asks after each chunk of 50,000 (``_CHUNK``) proposals,
+    with delta = 1e-12, and raises :class:`RejectionBudgetError` on a yes.
+    Fewer proposals than acceptances needed, a spent budget included, always
+    stop; a pass that has accepted every proposal, where p_hi = 1, never
+    does. Each chunk stops a pass that the whole budget would have finished
+    with probability at most delta, so a solve is stopped wrongly with
+    probability at most ceil(max_proposals / 50,000) delta: 2e-10 at the
+    default cap of 10^7. The check reads only counters and draws no random
+    numbers, so every pass that finishes returns the same bits as a pass
+    without it.
     """
     if left < need:
         return True
@@ -333,7 +312,6 @@ def _importance(
     rng: np.random.Generator,
     ws: _Workspace | None = None,
 ) -> WeightedSampleSet:
-    """The samples are views of ``ws``'s draws, valid until its next pass."""
     if ws is None:
         ws = _Workspace(cfg.sample_count, len(prior))
     draws, rss = ws.draw_rss(problem, prior, rng, cfg.sample_count)
@@ -358,16 +336,8 @@ def rejection_sample(
     the scaled simplex. The envelope therefore dominates the likelihood on
     the whole proposal support, every acceptance probability lies in (0, 1],
     and the kept draws are exact posterior draws; the tighter the floor, the
-    fewer proposals they cost.
-
-    Raises :class:`RejectionBudgetError` as soon as the pass cannot reach L
-    acceptances within ``max_proposals``: after each chunk of 50,000
-    proposals, when even the one-sided Clopper-Pearson upper bound on the
-    acceptance rate, at level delta = 1e-12, gives the proposals left a
-    chance below delta/2 of delivering the acceptances still needed, and
-    always when the budget is spent. A pass that the whole budget would have
-    finished is stopped with probability at most
-    ceil(max_proposals / 50,000) delta, 2e-10 at the default cap.
+    fewer proposals they cost. Raises :class:`RejectionBudgetError` as soon
+    as the pass cannot reach L acceptances (see :func:`_cannot_finish`).
     """
     problem = Problem.of(data, prior, spec)
     if rng is None:
@@ -382,13 +352,8 @@ def importance_sample(
     cfg: SamplerConfig,
     rng: np.random.Generator | None = None,
 ) -> WeightedSampleSet:
-    """Weight L prior draws by the likelihood: log w_l = -RSS(C omega_l)/2.
-
-    These log weights assume unit noise variance (see `balson.model`).
-
-    Log weights are shifted by their maximum before exponentiation so the
-    normalization cannot underflow at realistic data sizes.
-    """
+    """Weight L prior draws by the likelihood, log w_l = -RSS(C omega_l)/2,
+    normalised by :func:`normalize_log_weights`."""
     problem = Problem.of(data, prior, spec)
     if rng is None:
         rng = round_rng(cfg.seed, 0)

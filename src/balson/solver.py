@@ -3,13 +3,8 @@
 Pipeline: build the solve's :class:`~balson.samplers.Problem`, run
 :func:`~balson.samplers.fit_posterior`, the sampling loop, at the selected
 scheme of :data:`~balson.samplers.SCHEMES`, take the sparse mode of the
-Dirichlet it fits, and rescale back to the coefficient budget.
-The problem's residual form comes from the data's power sums (see
-:class:`~balson.model.ResidualForm`), so no solve forms the N x K design.
-The problem takes the RS envelope floor lazily, on the first rejection pass,
-so IS and ISIRS never compute it. The signed entry point covers ordinary L1
-problems through the split reduction, whose residual form is built from the
-same K x K statistics.
+Dirichlet it fits, and rescale back to the coefficient budget. The signed
+entry point covers ordinary L1 problems through the split reduction.
 """
 
 from __future__ import annotations
@@ -113,10 +108,9 @@ def solve_signed(data: Dataset, cfg: BalsonConfig) -> np.ndarray:
     """Fit signed coefficients under an L1 budget via the split reduction.
 
     The solve runs in dimension 2 * order on the nonnegative split vector,
-    against the residual form of the design [phi(x), -phi(x)]. That form is
-    built from the order x order power-sum statistics (see ``Problem.of``),
-    so neither phi(x) nor the split design is ever formed. The halves are merged back to signed
-    coefficients whose absolute sum is at most the budget.
+    against the residual form of the design [phi(x), -phi(x)] (see
+    ``Problem.of``). The halves are merged back to signed coefficients whose
+    absolute sum is at most the budget.
     """
     problem = Problem.of(data, cfg.prior, cfg.spec, signed=True)
     return merge_signed(_solve_design(problem, cfg=cfg).theta_star)

@@ -310,6 +310,8 @@ class TestBayesianLasso:
             {"hyper_shape": 0.0},
             {"hyper_rate": -1.0},
             {"iterations": 60, "burn_in": -5},
+            {"seed": -1},
+            {"seed": 2**64},
         ],
     )
     def test_invalid_params(self, kwargs):

@@ -78,6 +78,15 @@ def test_numerical_failure(csv_path, tmp_path, capsys, monkeypatch, error):
     assert "numerical failure" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("row", ["0,1,7", "0"])
+def test_row_without_two_fields(tmp_path, capsys, row):
+    path = tmp_path / "data.csv"
+    path.write_text(f"x,y\n0.5,1\n{row}\n")
+    assert cli.main(fit_args(path, tmp_path)) == cli.EXIT_USAGE
+    assert f"usage error: {path}:3: bad row" in capsys.readouterr().err
+    assert not (tmp_path / "report.json").exists()
+
+
 def test_io_failure(tmp_path, capsys):
     missing = tmp_path / "missing.csv"
     assert cli.main(fit_args(missing, tmp_path)) == cli.EXIT_IO
@@ -211,6 +220,23 @@ def test_bench_count_that_is_not_an_integer(tmp_path, capsys, raw):
     config.write_text(json.dumps(raw))
     assert cli.main(["bench", "--config", str(config), "--out-dir", str(tmp_path / "out")]) == cli.EXIT_USAGE
     assert capsys.readouterr().err.startswith("usage error:")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "raw, name",
+    [
+        ({"base_seed": -1}, "base_seed"),
+        ({"base_seed": 2**64}, "base_seed"),
+        ({"sampler": {"seed": -1}}, "seed"),
+        ({"baselines": {"gibbs": {"seed": 2**64}}}, "seed"),
+    ],
+)
+def test_bench_seed_outside_64_bits(tmp_path, capsys, raw, name):
+    config = tmp_path / "bench.json"
+    config.write_text(json.dumps(raw))
+    assert cli.main(["bench", "--config", str(config), "--out-dir", str(tmp_path / "out")]) == cli.EXIT_USAGE
+    assert capsys.readouterr().err == f"usage error: {name} must fit in 64 bits\n"
     assert not (tmp_path / "out").exists()
 
 

@@ -1,0 +1,78 @@
+"""The package's public names: ``__all__`` and what ``from balson import *`` binds."""
+
+import types
+
+import balson
+
+PUBLIC = [
+    "ALL_METHODS",
+    "BalsonConfig",
+    "BalsonError",
+    "BaselineConfig",
+    "Dataset",
+    "DegenerateStatisticError",
+    "DegenerateWeightsError",
+    "DirichletParams",
+    "ExperimentConfig",
+    "FitReport",
+    "GibbsParams",
+    "IpParams",
+    "LassoParams",
+    "ModeUndefinedError",
+    "ModelSpec",
+    "MomentMatchingError",
+    "PAPER_THETA",
+    "ParameterVector",
+    "RejectionBudgetError",
+    "ResultTable",
+    "RunRecord",
+    "SamplerConfig",
+    "SimplexVector",
+    "SolveDiagnostics",
+    "Summary",
+    "UnboundedDensityError",
+    "WeightedSampleSet",
+    "bayesian_lasso_fit",
+    "design_matrix",
+    "emit_outputs",
+    "generate_dataset",
+    "importance_sample",
+    "ip_fit",
+    "ip_solve",
+    "lasso_coordinate_descent",
+    "lasso_fit",
+    "log_density",
+    "log_likelihood",
+    "log_posterior_unnorm",
+    "match_moments_per_dim",
+    "merge_signed",
+    "mode",
+    "moments",
+    "mse",
+    "normalize_log_weights",
+    "paired_t_test",
+    "predict",
+    "rejection_sample",
+    "rescale",
+    "run_experiment",
+    "sample_batch",
+    "solve",
+    "solve_signed",
+    "sparsity",
+    "split_signed",
+    "summarize",
+    "uniform_prior",
+    "weighted_moments",
+]
+
+
+def test_all_lists_the_public_names():
+    assert balson.__all__ == PUBLIC
+
+
+def test_star_import_binds_exactly_the_public_names():
+    namespace = {}
+    exec("from balson import *", namespace)
+    del namespace["__builtins__"]
+    assert sorted(namespace) == PUBLIC
+    assert not any(isinstance(value, types.ModuleType) for value in namespace.values())
