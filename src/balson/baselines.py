@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg.lapack import dpotrf, dpotrs, dtrtrs
+from scipy.linalg.lapack import dposv, dpotrf, dpotrs, dtrtrs
 
 from .exceptions import BalsonError
 from .model import (
@@ -57,8 +57,8 @@ class IpParams:
     gap_tol: float = 1e-10
 
     def __post_init__(self):
-        if not self.gap_tol > 0.0:
-            raise ValueError("gap_tol must be positive")
+        if not 0.0 < self.gap_tol < math.inf:
+            raise ValueError("gap_tol must be positive and finite")
 
 
 # The barrier schedule: the first level, the factor applied once a level is
@@ -88,8 +88,8 @@ class GibbsParams:
             raise ValueError("burn_in must be >= 0")
         if self.iterations <= self.burn_in:
             raise ValueError("iterations must exceed burn_in")
-        if self.hyper_shape <= 0.0 or self.hyper_rate <= 0.0:
-            raise ValueError("hyperprior parameters must be positive")
+        if not (0.0 < self.hyper_shape < math.inf and 0.0 < self.hyper_rate < math.inf):
+            raise ValueError("hyperprior parameters must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -121,7 +121,8 @@ def lasso_coordinate_descent(
     Its solution at penalty lam is :func:`lasso_fit`'s at budget
     C = ||theta_lam||_1, but ``lasso_fit`` does not call it. The quadratic
     term is un-halved, so each coordinate update soft-thresholds at lam/2.
-    Appends the objective after every sweep to ``trace`` when given; raises :class:`BalsonError` if the sweep cap is hit before the largest
+    Appends the objective after every sweep to ``trace`` when given. Raises
+    :class:`BalsonError` if the sweep cap is hit before the largest
     coordinate move falls below ``sweep_tol``.
     """
     gram = design.T @ design
@@ -258,6 +259,20 @@ def _barrier_qp(
     raise BalsonError(f"barrier stalled at level {mu:.3g}: step cap")
 
 
+# Gibbs iterations drawn per generator call: a few hundred KB of draws at K = 10.
+_GIBBS_BLOCK = 512
+
+
+def _inverse_gaussian(mean: float, shape: float, normal: float, uniform: float) -> float:
+    """IG(mean, shape) from a N(0, 1) and a U(0, 1) value (Michael, Schucany & Haas 1976).
+
+    ``Generator.wald``'s arithmetic: fed the normal and then the uniform that wald
+    draws, it gives wald's bits. A zero normal gives the mean."""
+    y = mean * normal * normal
+    x = mean * (1.0 - 2.0 / (1.0 + math.sqrt(1.0 + 4.0 * shape / y))) if y > 0.0 else mean
+    return x if uniform <= mean / (mean + x) else mean * mean / x
+
+
 def bayesian_lasso_fit(
     data: Dataset,
     spec: ModelSpec,
@@ -271,43 +286,51 @@ def bayesian_lasso_fit(
     conditionals, and the squared shrinkage weight from its gamma full
     conditional under a Gamma(shape, rate) hyperprior (Park & Casella 2008).
 
-    Each step refreshes only the diagonal of one preallocated precision
-    P = G + diag(1/tau^2), factors P = LL' once and draws
-    beta = L^-T (L^-1 X'y + z), z ~ N(0, I), with two triangular solves. The
-    inverse-Gaussian values are drawn one at a time, which consumes the
-    generator's stream exactly as one array draw does, at a fraction of its
-    call overhead. Raises :class:`BalsonError` if the Gram or X'y is
-    non-finite, or if P is not positive definite.
-    """
+    Per iteration, one ``dposv`` factors P = G + diag(1/tau^2) = LL' and gives
+    P^-1 X'y, and one ``dtrtrs`` adds L^-T z. :func:`_inverse_gaussian` turns a
+    normal nu and a uniform u into each 1/tau_i^2, tau^2 is clipped to
+    [1e-10, 1e10], and lam^2 = g / (rate + sum(tau^2)/2). z, nu, u and
+    g ~ Gamma(K + shape, 1) each have a child generator seeded from ``rng``,
+    drawn ``_GIBBS_BLOCK`` iterations at a time, so the block size changes no
+    bit. Raises :class:`BalsonError` if the Gram or X'y is non-finite, or if P
+    is not positive definite."""
     params = cfg.gibbs
     if rng is None:
         rng = np.random.default_rng([params.seed])
     form = ResidualForm(data.inputs, data.targets, order=spec.order)
-    corr = form.xty
     k = spec.order
+    normals, ig_normals, uniforms, gammas = map(np.random.default_rng, rng.integers(2**63, size=4).tolist())
 
     precision = np.array(form.gram, order="F")
     diag = precision.ravel(order="F")[:: k + 1]  # a writable view of P's diagonal
-    gram_diag = diag.copy()
-    tau_sq = np.ones(k)
-    inv_tau_sq = np.empty(k)
+    gram_diag = diag.tolist()
+    next_diag = [d + 1.0 for d in gram_diag]  # tau^2 = 1 at the start
     lam_sq = 1.0
     total = np.zeros(k)
-    for it in range(params.iterations):
-        np.add(gram_diag, 1.0 / tau_sq, out=diag)
-        chol, info = dpotrf(precision, lower=1, clean=0)
-        if info > 0:
-            raise BalsonError(f"singular conditional covariance at iteration {it}")
-        half, _ = dtrtrs(chol, corr, lower=1)
-        half += rng.standard_normal(k)
-        beta, _ = dtrtrs(chol, half, lower=1, trans=1, overwrite_b=1)
-        scale = math.sqrt(lam_sq)
-        for i, b in enumerate(beta.tolist()):
-            inv_tau_sq[i] = rng.wald(scale / max(abs(b), 1e-12), lam_sq)
-        tau_sq = np.minimum(np.maximum(1.0 / inv_tau_sq, 1e-10), 1e10)
-        lam_sq = rng.gamma(
-            k + params.hyper_shape, 1.0 / (params.hyper_rate + 0.5 * float(tau_sq.sum()))
+    for start in range(0, params.iterations, _GIBBS_BLOCK):
+        n = min(_GIBBS_BLOCK, params.iterations - start)
+        block = zip(
+            normals.standard_normal((n, k)),
+            ig_normals.standard_normal((n, k)).tolist(),
+            uniforms.random((n, k)).tolist(),
+            gammas.standard_gamma(k + params.hyper_shape, n).tolist(),
         )
-        if it >= params.burn_in:
-            total += beta
+        for it, (z, nus, us, g) in enumerate(block, start):
+            diag[:] = next_diag
+            chol, beta, info = dposv(precision, form.xty, lower=1)
+            if info > 0:
+                raise BalsonError(f"singular conditional covariance at iteration {it}")
+            beta += dtrtrs(chol, z, lower=1, trans=1)[0]
+            scale = math.sqrt(lam_sq)
+            next_diag, tau_sq_sum = [], 0.0
+            for b, d, nu, u in zip(beta.tolist(), gram_diag, nus, us):
+                b = abs(b)
+                x = _inverse_gaussian(scale / (b if b > 1e-12 else 1e-12), lam_sq, nu, u)
+                t = 1.0 / x if x > 0.0 else 1e10  # tau^2, clipped
+                t = 1e10 if t > 1e10 else 1e-10 if t < 1e-10 else t
+                next_diag.append(d + 1.0 / t)
+                tau_sq_sum += t
+            lam_sq = g / (params.hyper_rate + 0.5 * tau_sq_sum)
+            if it >= params.burn_in:
+                total += beta
     return total / (params.iterations - params.burn_in)

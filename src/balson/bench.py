@@ -260,7 +260,7 @@ def _build(cls, raw, path: str):
     own section the same way. ``path`` names the section in messages ("" at
     the top, else e.g. "baselines.gibbs"). Raises ValueError if a section is
     not an object, has keys that its class has no field for, or holds a
-    value of the wrong JSON type."""
+    value that its class rejects; a nested section's path leads the message."""
     what = f"{path} config".lstrip()
     if not isinstance(raw, dict):
         raise ValueError(f"{what} must be a JSON object")
@@ -276,7 +276,9 @@ def _build(cls, raw, path: str):
     }
     try:
         return cls(**kwargs)
-    except TypeError as err:
+    except (TypeError, ValueError) as err:
+        if isinstance(err, ValueError) and not path:
+            raise  # a top-level field's message already names the field
         raise ValueError(f"{what}: {err}") from err
 
 

@@ -6,6 +6,7 @@ barrier core runs at its default tolerance throughout: its coefficients
 match the oracle's to 1e-6.
 """
 
+import json
 import warnings
 
 import numpy as np
@@ -29,6 +30,8 @@ from balson import (
     lasso_fit,
     predict,
 )
+from balson import baselines
+from balson.baselines import _inverse_gaussian
 from balson.bench import ExperimentConfig, config_from_mapping, generate_dataset, method_seed
 
 
@@ -146,6 +149,12 @@ class TestIp:
         assert np.all(fitted > 0.0) and fitted.sum() <= 1.0
         np.testing.assert_allclose(fitted, oracle.x, atol=1e-6)
 
+    @pytest.mark.parametrize("gap_tol", [0.0, -1e-8, float("nan"), float("inf")])
+    def test_invalid_params(self, gap_tol):
+        # gap_tol = inf once stopped at the first iterate, the simplex centre.
+        with pytest.raises(ValueError, match="gap_tol"):
+            IpParams(gap_tol=gap_tol)
+
 
 class TestSingularGram:
     """IP and LASSO where the Gram is singular and the budget may bind.
@@ -215,9 +224,53 @@ class TestConfigFromMapping:
         config_from_mapping({"baselines": {"ip": {"gap_tol": 1e-8}}})
         assert not [w for w in recwarn if issubclass(w.category, DeprecationWarning)]
 
+    def test_nan_hyperprior_is_rejected_with_its_section(self):
+        raw = json.loads('{"baselines": {"gibbs": {"hyper_rate": NaN}}}')
+        with pytest.raises(ValueError, match="^baselines.gibbs config: hyperprior parameters"):
+            config_from_mapping(raw)
+
 
 def reference_bayesian_lasso(data, spec, params, rng):
-    """The Gibbs loop in plain numpy: Cholesky, three general solves, one array wald draw."""
+    """The Gibbs chain in plain numpy: every draw made up front, Cholesky and general solves.
+
+    Its four streams are bayesian_lasso_fit's: z for beta, then the
+    inverse-Gaussians' normals and uniforms, then the gammas, each from a
+    child generator seeded by one of four integers from ``rng``.
+    """
+    design = design_matrix(data.inputs, spec.order)
+    gram = design.T @ design
+    corr = design.T @ data.targets
+    k, iterations = spec.order, params.iterations
+    normals, ig_normals, uniforms, gammas = (np.random.default_rng(int(s)) for s in rng.integers(2**63, size=4))
+    zs = normals.standard_normal((iterations, k))
+    nus = ig_normals.standard_normal((iterations, k))
+    us = uniforms.random((iterations, k))
+    gs = gammas.standard_gamma(k + params.hyper_shape, iterations)
+    tau_sq, lam_sq, total = np.ones(k), 1.0, np.zeros(k)
+    for it in range(iterations):
+        chol = np.linalg.cholesky(gram + np.diag(1.0 / tau_sq))
+        mean = np.linalg.solve(chol.T, np.linalg.solve(chol, corr))
+        beta = mean + np.linalg.solve(chol.T, zs[it])
+        # Michael, Schucany & Haas (1976) for IG(mu, lam_sq), as numpy's wald computes it.
+        mu = np.sqrt(lam_sq) / np.maximum(np.abs(beta), 1e-12)
+        y = mu * nus[it] * nus[it]
+        with np.errstate(divide="ignore"):
+            x = mu * (1.0 - 2.0 / (1.0 + np.sqrt(1.0 + 4.0 * lam_sq / y)))
+            inv_tau_sq = np.where(us[it] <= mu / (mu + x), x, mu * mu / x)
+            tau_sq = np.clip(1.0 / inv_tau_sq, 1e-10, 1e10)
+        lam_sq = gs[it] / (params.hyper_rate + 0.5 * float(tau_sq.sum()))
+        if it >= params.burn_in:
+            total += beta
+    return total / (iterations - params.burn_in)
+
+
+def per_iteration_bayesian_lasso(data, spec, params, rng):
+    """The Gibbs chain drawn one iteration at a time from ``rng`` itself.
+
+    Normals, one array wald draw, then one gamma per iteration: the stream
+    that bayesian_lasso_fit used before it drew in blocks. Its chain has the
+    same transition law, so it is an oracle for seed means.
+    """
     design = design_matrix(data.inputs, spec.order)
     gram = design.T @ design
     corr = design.T @ data.targets
@@ -255,8 +308,8 @@ SHORT_CHAIN = GibbsParams(iterations=1500, burn_in=300)
 class TestBayesianLasso:
     @staticmethod
     def assert_matches_reference(data, spec, seed, params):
-        # Triangular solves replace general ones, so the bits may differ; the
-        # random stream is the same, so the chains agree to rounding.
+        # LAPACK solves replace general ones, so the bits may differ; the
+        # random streams are the same, so the chains agree to rounding.
         fitted = bayesian_lasso_fit(data, spec, BaselineConfig(gibbs=params), np.random.default_rng([seed]))
         expected = reference_bayesian_lasso(data, spec, params, np.random.default_rng([seed]))
         np.testing.assert_allclose(fitted, expected, rtol=0.0, atol=1e-12)
@@ -270,6 +323,29 @@ class TestBayesianLasso:
 
     def test_matches_reference_signed_k10(self):
         self.assert_matches_reference(signed_problem(), ModelSpec(10, 1.0), 11, SHORT_CHAIN)
+
+    @pytest.mark.parametrize("block", [1, 7, 6000])
+    def test_same_bits_at_any_block_size(self, monkeypatch, block):
+        data, spec, seed = paper_problem(0)
+        expected = bayesian_lasso_fit(data, spec, BaselineConfig(), np.random.default_rng([seed]))
+        monkeypatch.setattr(baselines, "_GIBBS_BLOCK", block)
+        fitted = bayesian_lasso_fit(data, spec, BaselineConfig(), np.random.default_rng([seed]))
+        assert fitted.tobytes() == expected.tobytes()
+
+    def test_seed_means_match_the_per_iteration_chain(self):
+        # Both chains have the same transition law, so over independent seeds
+        # their posterior-mean estimates have the same distribution.
+        data, spec, _ = paper_problem(0)
+        params = GibbsParams(iterations=600, burn_in=100)
+        seeds = range(24)
+        blocked = np.array(
+            [bayesian_lasso_fit(data, spec, BaselineConfig(gibbs=params), np.random.default_rng([s])) for s in seeds]
+        )
+        stepped = np.array(
+            [per_iteration_bayesian_lasso(data, spec, params, np.random.default_rng([s, 1])) for s in seeds]
+        )
+        stderr = np.sqrt((blocked.var(axis=0, ddof=1) + stepped.var(axis=0, ddof=1)) / len(seeds))
+        assert np.all(np.abs(blocked.mean(axis=0) - stepped.mean(axis=0)) <= 4.0 * stderr)
 
     def test_same_seed_same_bits(self):
         data, spec, seed = paper_problem(3)
@@ -312,6 +388,10 @@ class TestBayesianLasso:
             {"iterations": 60, "burn_in": -5},
             {"seed": -1},
             {"seed": 2**64},
+            {"hyper_shape": float("nan")},
+            {"hyper_rate": float("nan")},
+            {"hyper_rate": float("inf")},
+            {"hyper_shape": float("inf")},
         ],
     )
     def test_invalid_params(self, kwargs):
@@ -320,17 +400,25 @@ class TestBayesianLasso:
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2, 17, 12345])
-def test_scalar_wald_draws_consume_the_stream_like_one_array_draw(seed):
-    # bayesian_lasso_fit draws its K inverse-Gaussian values one at a time;
-    # its chain is the array draw's only while this holds.
+def test_inverse_gaussian_is_numpys_wald(seed):
+    # Generator.wald draws one normal and then one uniform per value; fed the
+    # same two values, the transform returns the same bits.
     params = np.random.default_rng([seed, 99])
-    for k in range(1, 21):
-        # Means over 18 decades: the sampler's sqrt(lam_sq) / max(|beta|, 1e-12) can span that.
-        means = 10.0 ** params.uniform(-6.0, 12.0, size=k)
-        scale = float(params.gamma(1.0, 2.0)) + 1e-6
-        array_rng = np.random.default_rng([seed, k])
-        scalar_rng = np.random.default_rng([seed, k])
-        drawn = array_rng.wald(means, scale)
-        one_by_one = np.array([scalar_rng.wald(m, scale) for m in means.tolist()])
-        assert drawn.tobytes() == one_by_one.tobytes()
-        assert array_rng.bit_generator.state == scalar_rng.bit_generator.state
+    # Means over 18 decades: the sampler's sqrt(lam_sq) / max(|beta|, 1e-12) can span that.
+    means = (10.0 ** params.uniform(-6.0, 12.0, size=800)).tolist()
+    shapes = (10.0 ** params.uniform(-4.0, 4.0, size=800)).tolist()
+    wald_rng = np.random.default_rng([seed])
+    draws = np.random.default_rng([seed])
+    expected = np.array([wald_rng.wald(m, s) for m, s in zip(means, shapes)])
+    transformed = np.array(
+        [_inverse_gaussian(m, s, draws.standard_normal(), draws.random()) for m, s in zip(means, shapes)]
+    )
+    assert transformed.tobytes() == expected.tobytes()
+
+
+def test_inverse_gaussian_edges():
+    # A zero normal gives the mean whichever branch the uniform takes.
+    assert [_inverse_gaussian(2.5, 0.3, 0.0, u) for u in (0.0, 0.5, 0.999)] == [2.5, 2.5, 2.5]
+    # A vanishing shape gives 0, as numpy's wald does; the chain clips 1/0 to tau^2 = 1e10.
+    assert _inverse_gaussian(1e300, 1e-300, 1.0, 0.5) == 0.0
+    assert np.random.default_rng([3]).wald(1e300, 1e-300) == 0.0

@@ -236,7 +236,9 @@ def test_bench_seed_outside_64_bits(tmp_path, capsys, raw, name):
     config = tmp_path / "bench.json"
     config.write_text(json.dumps(raw))
     assert cli.main(["bench", "--config", str(config), "--out-dir", str(tmp_path / "out")]) == cli.EXIT_USAGE
-    assert capsys.readouterr().err == f"usage error: {name} must fit in 64 bits\n"
+    # A nested section's message starts with its path.
+    where = {"sampler": "sampler config: ", "baselines": "baselines.gibbs config: "}.get(next(iter(raw)), "")
+    assert capsys.readouterr().err == f"usage error: {where}{name} must fit in 64 bits\n"
     assert not (tmp_path / "out").exists()
 
 
