@@ -54,8 +54,13 @@ class ExperimentConfig:
     workers: int = 1
 
     def __post_init__(self):
-        theta = tuple(float(t) for t in self.true_theta)
+        try:  # a string or a single number makes a 0-d array, which does not iterate
+            theta = tuple(float(t) for t in np.asarray(self.true_theta, dtype=np.float64))
+        except (TypeError, ValueError):
+            raise ValueError("true_theta must be a list of numbers") from None
         object.__setattr__(self, "true_theta", theta)
+        if isinstance(self.methods, str) or not np.iterable(self.methods):
+            raise ValueError("methods must be a list of method names")
         object.__setattr__(self, "methods", tuple(self.methods))
         for name in ("n_train", "n_test", "repetitions", "workers"):
             object.__setattr__(self, name, integral(getattr(self, name), name))

@@ -3,8 +3,9 @@
 Four schemes, rejection sampling (RS), importance sampling (IS) and their
 iterated importance-resampling variants RSIRS and ISIRS, are the settings
 in :data:`SCHEMES` of one loop, :func:`fit_posterior`. Each solve builds one
-:class:`Problem` and each pass one :class:`_Workspace`; a rejection pass
-stops early by :func:`_cannot_finish`.
+:class:`Problem` and one L-row :class:`_Workspace` for all of its passes. A
+rejection pass proposes in chunks of L rows and stops early by
+:func:`_cannot_finish`.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ DEFAULT_SAMPLE_COUNT = 10_000
 MIN_SAMPLE_COUNT = 100
 DEFAULT_RESAMPLE_ROUNDS = 100
 PROPOSAL_BUDGET_FACTOR = 1000
-_CHUNK = 50_000
 _STOP_DELTA = 1e-12  # delta of _cannot_finish
 # The four schemes: name -> (round 0's kernel, whether R refinement rounds
 # follow). The order is the schemes' order everywhere, bench seeds included.
@@ -37,7 +37,8 @@ class SamplerConfig:
     """Monte-Carlo knobs: L, refinement rounds R, RS proposal cap, seed.
 
     ``max_proposals`` (default 1000 L) caps the proposals of one rejection
-    pass, which may stop sooner (see :func:`_cannot_finish`).
+    pass. The pass draws them in chunks of L and may stop after any chunk
+    (see :func:`_cannot_finish`).
     """
 
     sample_count: int = DEFAULT_SAMPLE_COUNT
@@ -115,15 +116,23 @@ class RoundRecord:
 
 
 class _Workspace:
-    """The buffers of one sampling pass, reused by each of its RS chunks and IS rounds.
+    """The buffers of one solve, reused by every RS chunk and IS round of its passes.
 
     Three rows x K arrays hold the draws, C omega and theta G, and two
     vectors of length rows hold the RSS and its quadratic term; the second
-    vector then takes RS's uniforms. A pass of ``m <= rows`` draws uses
-    the first ``m`` rows of each, so a pass of R rounds makes no per-round
-    rows x K temporaries.
+    vector then takes RS's uniforms. A solve sizes it to L rows, the rows of
+    an IS round and of an RS chunk. A chunk or round of ``m <= rows`` draws
+    uses the first ``m`` rows of each, so a solve makes no per-round or
+    per-chunk rows x K temporaries.
 
-    A workspace never outlives its pass. IS samples are views of its draws,
+    The draws, which IS returns as its samples, are one allocation and the
+    other four arrays share a second, larger one. glibc's malloc hands the
+    free top of its heap back to the system once it exceeds twice the
+    largest block freed so far; five separate arrays exceed that, and every
+    solve then faults its workspace in again (about 1,200 page faults, 4 ms,
+    per IS solve at K = 20, L = 10^4), while these two blocks stay below it.
+
+    A workspace never outlives its solve. IS samples are views of its draws,
     valid until its next pass; RS keeps copies. When a solve fails, the loop
     releases the workspace from every frame of the traceback before raising,
     so a caught error pins no buffer, and the public wrappers return arrays
@@ -132,10 +141,9 @@ class _Workspace:
 
     def __init__(self, rows: int, k: int):
         self.draws = np.empty((rows, k))
-        self.thetas = np.empty((rows, k))
-        self.product = np.empty((rows, k))
-        self.values = np.empty(rows)
-        self.scratch = np.empty(rows)
+        block = np.empty(2 * rows * (k + 1))
+        self.thetas, self.product = block[: 2 * rows * k].reshape(2, rows, k)
+        self.values, self.scratch = block[2 * rows * k :].reshape(2, rows)
 
     def draw_rss(
         self, problem: Problem, prior: DirichletParams, rng: np.random.Generator, m: int
@@ -235,16 +243,16 @@ def _cannot_finish(accepted: int, proposed: int, need: int, left: int) -> bool:
     rate bound p_hi, yield the ``need`` acceptances still wanted with
     probability P(Bin(left, p_hi) >= need) below delta/2.
 
-    A rejection pass asks after each chunk of 50,000 (``_CHUNK``) proposals,
+    A rejection pass asks after each chunk of L = ``sample_count`` proposals,
     with delta = 1e-12, and raises :class:`RejectionBudgetError` on a yes.
     Fewer proposals than acceptances needed, a spent budget included, always
     stop; a pass that has accepted every proposal, where p_hi = 1, never
     does. Each chunk stops a pass that the whole budget would have finished
     with probability at most delta, so a solve is stopped wrongly with
-    probability at most ceil(max_proposals / 50,000) delta: 2e-10 at the
-    default cap of 10^7. The check reads only counters and draws no random
-    numbers, so every pass that finishes returns the same bits as a pass
-    without it.
+    probability at most ceil(max_proposals / L) delta: 1e-9 at the default
+    cap of 1000 L, whatever L is. The check reads only counters and draws
+    no random numbers, so every pass that finishes returns the same bits as
+    a pass without it.
     """
     if left < need:
         return True
@@ -260,13 +268,13 @@ def _rejection(
 ) -> WeightedSampleSet:
     want = cfg.sample_count
     if ws is None:
-        ws = _Workspace(min(_CHUNK, cfg.max_proposals), len(prior))
+        ws = _Workspace(want, len(prior))
     kept = []
     n_kept = 0
     n_proposed = 0
     n_accepted = 0
     while n_kept < want:
-        m = min(_CHUNK, cfg.max_proposals - n_proposed)
+        m = min(want, cfg.max_proposals - n_proposed)
         draws, gap = ws.draw_rss(problem, prior, rng, m)
         gap -= problem.floor
         if np.any(np.isnan(gap)):
@@ -390,10 +398,7 @@ def fit_posterior(
     The trace holds one :class:`RoundRecord` per round run.
     """
     first, refine = SCHEMES[method]
-    rows = cfg.sample_count
-    if first == "rs":
-        rows = max(rows, min(_CHUNK, cfg.max_proposals))
-    ws = _Workspace(rows, len(prior))
+    ws = _Workspace(cfg.sample_count, len(prior))
     alpha = prior
     trace = []
     for rnd in range(cfg.resample_rounds + 1 if refine else 1):

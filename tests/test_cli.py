@@ -176,6 +176,24 @@ def test_bench_value_of_the_wrong_type(tmp_path, capsys, raw):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize(
+    "raw",
+    [
+        {"true_theta": 5},
+        {"true_theta": "abc"},
+        {"true_theta": [0.1, None]},
+        {"methods": 5},
+        {"methods": "LASSO"},
+    ],
+)
+def test_bench_top_level_type_error_names_the_field(tmp_path, capsys, raw):
+    config = tmp_path / "bench.json"
+    config.write_text(json.dumps(raw))
+    assert cli.main(["bench", "--config", str(config), "--out-dir", str(tmp_path / "out")]) == cli.EXIT_USAGE
+    assert capsys.readouterr().err.startswith(f"usage error: {next(iter(raw))} must be")
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("budget", [-1.0, 0.0, float("inf"), float("nan"), "1", None])
 def test_bench_budget_that_is_not_positive_and_finite(tmp_path, capsys, budget):
     # The message names the config key, not ModelSpec's field "scale".

@@ -195,8 +195,10 @@ class TestStopRule:
     @pytest.mark.parametrize(
         "accepted, proposed, need, left, stop",
         [
-            (1, 50_000, 10_000, 950_000, True),  # signed's first chunk
-            (19, 50_000, 10_000, 950_000, True),  # large_n's first chunk at a 10^6 cap
+            (1, 10_000, 9_999, 990_000, True),  # signed's first chunk of L
+            (3, 10_000, 9_997, 990_000, True),  # large_n's first chunk of L at a 10^6 cap
+            (1, 50_000, 10_000, 950_000, True),  # signed's first 50,000 proposals
+            (19, 50_000, 10_000, 950_000, True),  # large_n's first 50,000 at a 10^6 cap
             (3_500, 50_000, 6_500, 950_000, False),  # a paper-like rate of 0.07
             (3_500, 50_000, 6_500, 0, True),  # the budget is spent
             (5_000, 5_000, 5_000, 9_995_000, False),  # every proposal accepted

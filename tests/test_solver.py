@@ -3,6 +3,7 @@ and what a failed solve leaves reachable."""
 
 import dataclasses
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -240,26 +241,39 @@ class TestSimplexFloor:
         assert solve(train, cfg).diagnostics.acceptance_rate >= 1e-2
 
 
+def failing_signed(method):
+    """The benchmark's signed problem: K = 10 split into 20 dimensions, N = 1000,
+    L = 10^4, a cap of 10^6 proposals and the bench seed of ``method``."""
+    theta = np.array([0.0, 0.5, 0.0, -0.3, 0.0, 0.0, 0.0, 0.0, 0.15, 0.0])
+    xs = np.linspace(-1.0, 1.0, 1000)
+    data = Dataset(xs, predict(theta, xs) + np.random.default_rng([0]).standard_normal(1000))
+    seed = method_seed(0, 0, f"BALSON-{method}")
+    sampler = SamplerConfig(max_proposals=1_000_000, seed=seed)
+    return data, BalsonConfig(method, uniform_prior(20), ModelSpec(10, 1.0), sampler)
+
+
 class TestEarlyStop:
     """A rejection pass raises as soon as the proposals left cannot deliver L."""
 
     @pytest.mark.parametrize("method", ["RS", "RSIRS"])
     def test_failing_signed_solve_raises_after_one_chunk(self, method):
-        # The benchmark's signed problem: K = 10 split into 20 dimensions,
-        # N = 1000, a cap of 10^6 proposals and the bench seeds.
-        theta = np.array([0.0, 0.5, 0.0, -0.3, 0.0, 0.0, 0.0, 0.0, 0.15, 0.0])
-        xs = np.linspace(-1.0, 1.0, 1000)
-        data = Dataset(xs, predict(theta, xs) + np.random.default_rng([0]).standard_normal(1000))
-        seed = method_seed(0, 0, f"BALSON-{method}")
-        cfg = BalsonConfig(
-            method,
-            uniform_prior(20),
-            ModelSpec(10, 1.0),
-            SamplerConfig(max_proposals=1_000_000, seed=seed),
-        )
+        # One chunk is L = 10^4 proposals.
+        data, cfg = failing_signed(method)
         with pytest.raises(RejectionBudgetError) as info:
             solve_signed(data, cfg)
-        assert ACCEPTANCES.search(str(info.value)).group(1) == str(samplers._CHUNK) == "50000"
+        assert ACCEPTANCES.search(str(info.value)).group(1) == "10000"
+
+    def test_failing_signed_solve_allocates_one_l_row_workspace(self):
+        # The L-row workspace holds 10^4 x (3 x 20 + 2) floats, 5 MB.
+        data, cfg = failing_signed("RS")
+        tracemalloc.start()
+        try:
+            with pytest.raises(RejectionBudgetError):
+                solve_signed(data, cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8e6
 
     def test_paper_fits_never_reach_the_check(self, monkeypatch):
         # With only the spent-budget stop, RS and RSIRS on paper repetitions
@@ -294,6 +308,14 @@ class TestEarlyStop:
 
 
 class TestProposals:
+    def test_paper_rs_proposes_in_chunks_of_l(self):
+        # Repetition 0 accepts about a third of its proposals: a few chunks of L.
+        train, _, _ = generate_dataset(ExperimentConfig(), 0)
+        sampler = SamplerConfig(sample_count=200, seed=method_seed(0, 0, "BALSON-RS"))
+        cfg = BalsonConfig("RS", uniform_prior(5), ModelSpec(5, 1.0), sampler)
+        proposals = solve(train, cfg).diagnostics.proposals
+        assert proposals % 200 == 0 and proposals <= 2_000
+
     @pytest.mark.parametrize("method", ["RS", "RSIRS"])
     def test_rejection_counts(self, method):
         diag = solve(paper_like(100), config(method, sample_count=200)).diagnostics
