@@ -34,7 +34,6 @@ from .bench import (
 from .dirichlet import (
     DirichletParams,
     SimplexVector,
-    log_density,
     match_moments_per_dim,
     mode,
     moments,
@@ -47,7 +46,6 @@ from .exceptions import (
     ModeUndefinedError,
     MomentMatchingError,
     RejectionBudgetError,
-    UnboundedDensityError,
 )
 from .metrics import mse, paired_t_test, sparsity
 from .model import (
@@ -55,19 +53,14 @@ from .model import (
     ModelSpec,
     ParameterVector,
     design_matrix,
-    log_likelihood,
-    log_posterior_unnorm,
     merge_signed,
     predict,
     rescale,
-    split_signed,
 )
 from .samplers import (
     SamplerConfig,
     WeightedSampleSet,
-    importance_sample,
     normalize_log_weights,
-    rejection_sample,
     weighted_moments,
 )
 from .solver import BalsonConfig, FitReport, SolveDiagnostics, solve, solve_signed, uniform_prior

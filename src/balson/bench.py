@@ -67,16 +67,11 @@ class ExperimentConfig:
         object.__setattr__(self, "base_seed", seed_field(self.base_seed, "base_seed"))
         if len(theta) < 2 or any(t < 0 or not np.isfinite(t) for t in theta):
             raise ValueError("true_theta must be nonnegative, finite, length >= 2")
+        ModelSpec(len(theta), self.budget)
         if self.n_train < len(theta) or self.n_train < 2:
             raise ValueError("n_train must be at least the coefficient count (and >= 2)")
         if self.n_test < 2:
             raise ValueError("n_test must be >= 2")
-        try:
-            budget_ok = self.budget > 0.0 and np.isfinite(self.budget)
-        except TypeError:  # a JSON string or null
-            budget_ok = False
-        if not budget_ok:
-            raise ValueError("budget must be a positive finite number")
         if self.repetitions < 1:
             raise ValueError("repetitions must be >= 1")
         unknown = set(self.methods) - set(ALL_METHODS)

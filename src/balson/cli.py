@@ -16,7 +16,7 @@ import numpy as np
 from .bench import config_from_mapping, emit_outputs, run_experiment, summarize
 from .dirichlet import DirichletParams, match_moments_per_dim, moments, sample_batch
 from .exceptions import BalsonError
-from .model import Dataset, ModelSpec
+from .model import Dataset, ModelSpec, seed_field
 from .samplers import DEFAULT_RESAMPLE_ROUNDS, DEFAULT_SAMPLE_COUNT, MIN_SAMPLE_COUNT, SamplerConfig
 from .solver import METHODS, BalsonConfig, FitReport, solve, uniform_prior
 
@@ -171,7 +171,7 @@ def _cmd_sample_diag(args) -> int:
     prior = _parse_prior(args.prior, args.order)
     if args.samples < MIN_SAMPLE_COUNT:
         raise _UsageError(f"--samples must be at least {MIN_SAMPLE_COUNT}")
-    rng = np.random.default_rng([args.seed])
+    rng = np.random.default_rng([seed_field(args.seed, "seed")])
     draws = sample_batch(prior, rng, args.samples)
     mean_hat = draws.mean(axis=0)
     var_hat = draws.var(axis=0)

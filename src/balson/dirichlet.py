@@ -1,6 +1,6 @@
 """Dirichlet distribution primitives on the probability simplex.
 
-Density, sampling, analytic moments, moment-matched parameter recovery,
+Sampling, analytic moments, moment-matched parameter recovery,
 and the sparse mode rule (components whose concentration does not exceed
 one are placed exactly at zero).
 """
@@ -10,9 +10,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
-from .exceptions import MomentMatchingError, ModeUndefinedError, UnboundedDensityError
+from .exceptions import MomentMatchingError, ModeUndefinedError
 
 SIMPLEX_SUM_TOL = 1e-12
 ALPHA_FLOOR = 1e-6
@@ -64,27 +63,6 @@ class DirichletParams:
     @property
     def alpha0(self) -> float:
         return float(self.alpha.sum())
-
-
-def log_density(params: DirichletParams, point: SimplexVector) -> float:
-    """Log Dirichlet density: -ln B(alpha) + sum (alpha_i - 1) ln omega_i.
-
-    The multivariate beta normalizer is evaluated through log-gamma.
-    Raises :class:`UnboundedDensityError` where the density is +inf
-    (some alpha_i < 1 with omega_i = 0); returns -inf where it is 0.
-    """
-    alpha = params.alpha
-    omega = point.values
-    if alpha.shape != omega.shape:
-        raise ValueError("dimension mismatch between concentrations and point")
-    at_zero = omega == 0.0
-    if np.any(at_zero & (alpha < 1.0)):
-        raise UnboundedDensityError("density unbounded: alpha_i < 1 with omega_i = 0")
-    log_norm = float(special.gammaln(alpha).sum() - special.gammaln(alpha.sum()))
-    with np.errstate(divide="ignore"):
-        # xlogy gives 0 for alpha_i = 1 at omega_i = 0 and -inf for alpha_i > 1.
-        terms = special.xlogy(alpha - 1.0, omega)
-    return float(terms.sum() - log_norm)
 
 
 def sample_batch(

@@ -10,10 +10,6 @@ class BalsonError(Exception):
     """Base class for numerical failures."""
 
 
-class UnboundedDensityError(BalsonError):
-    """Dirichlet density is +inf at the requested point (alpha_i < 1, omega_i = 0)."""
-
-
 class ModeUndefinedError(BalsonError):
     """No concentration exceeds 1, so the Dirichlet mode does not exist."""
 

@@ -1,4 +1,4 @@
-"""Polynomial model, Gaussian log-likelihood, and the signed-vector reduction.
+"""Polynomial model, residual sum of squares, and the signed-vector reduction.
 
 The fitting problem lives on the scaled simplex: coefficients are
 theta = C * omega with omega a simplex point, so the L1 budget
@@ -13,10 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dirichlet import DirichletParams, SimplexVector, log_density
+from .dirichlet import SimplexVector
 from .exceptions import BalsonError
-
-LOG_2PI = float(np.log(2.0 * np.pi))
 
 
 @dataclass(frozen=True)
@@ -83,8 +81,12 @@ class ModelSpec:
         object.__setattr__(self, "order", integral(self.order, "order"))
         if self.order < 1:
             raise ValueError("order must be an integer >= 1")
-        if not (self.scale > 0.0 and np.isfinite(self.scale)):
-            raise ValueError("scale must be a positive finite budget")
+        try:
+            budget_ok = self.scale > 0.0 and np.isfinite(self.scale)
+        except TypeError:  # a JSON string or null
+            budget_ok = False
+        if not budget_ok:
+            raise ValueError("budget must be a positive finite number")
 
 
 @dataclass(frozen=True)
@@ -226,38 +228,11 @@ class ResidualForm:
         return float(total[0]) if single else total
 
 
-def log_likelihood(data: Dataset, omega: SimplexVector, spec: ModelSpec) -> float:
-    """Gaussian log-likelihood of the residuals at theta = C * omega.
-
-    Equals -(N/2) ln 2pi - RSS/2 with unit noise variance.
-    """
-    if len(omega) != spec.order:
-        raise ValueError("omega dimension must equal the model order")
-    design = design_matrix(data.inputs, spec.order)
-    resid = data.targets - design @ (spec.scale * omega.values)
-    return -0.5 * len(data) * LOG_2PI - 0.5 * float(resid @ resid)
-
-
-def log_posterior_unnorm(
-    data: Dataset, omega: SimplexVector, prior: DirichletParams, spec: ModelSpec
-) -> float:
-    """Unnormalized log posterior: log-likelihood plus log Dirichlet prior."""
-    return log_likelihood(data, omega, spec) + log_density(prior, omega)
-
-
 def rescale(omega: SimplexVector, budget: float) -> ParameterVector:
     """Map a simplex point back to coefficients: theta_i = C * omega_i."""
     if not budget > 0.0:
         raise ValueError("budget must be positive")
     return ParameterVector(budget * omega.values)
-
-
-def split_signed(theta_signed) -> ParameterVector:
-    """Double a signed vector into nonnegative positive/negative parts."""
-    v = np.asarray(theta_signed, dtype=np.float64)
-    if v.ndim != 1 or not np.all(np.isfinite(v)):
-        raise ValueError("signed coefficients must be a finite 1-D vector")
-    return ParameterVector(np.concatenate([np.maximum(v, 0.0), np.maximum(-v, 0.0)]))
 
 
 def merge_signed(theta_nonneg) -> np.ndarray:

@@ -135,8 +135,7 @@ class _Workspace:
     A workspace never outlives its solve. IS samples are views of its draws,
     valid until its next pass; RS keeps copies. When a solve fails, the loop
     releases the workspace from every frame of the traceback before raising,
-    so a caught error pins no buffer, and the public wrappers return arrays
-    they own.
+    so a caught error pins no buffer.
     """
 
     def __init__(self, rows: int, k: int):
@@ -264,11 +263,19 @@ def _rejection(
     prior: DirichletParams,
     cfg: SamplerConfig,
     rng: np.random.Generator,
-    ws: _Workspace | None = None,
+    ws: _Workspace,
 ) -> WeightedSampleSet:
+    """Draw L posterior samples by rejection from the Dirichlet ``prior``.
+
+    A proposal omega is kept with probability exp(-(RSS(C omega) - floor)/2),
+    where the floor is :func:`min_rss`, a certified lower bound on RSS over
+    the scaled simplex. The envelope therefore dominates the likelihood on
+    the whole proposal support, every acceptance probability lies in (0, 1],
+    and the kept draws are exact posterior draws; the tighter the floor, the
+    fewer proposals they cost. Raises :class:`RejectionBudgetError` as soon
+    as the pass cannot reach L acceptances (see :func:`_cannot_finish`).
+    """
     want = cfg.sample_count
-    if ws is None:
-        ws = _Workspace(want, len(prior))
     kept = []
     n_kept = 0
     n_proposed = 0
@@ -292,9 +299,6 @@ def _rejection(
             n_kept += kept[-1].shape[0]
         need, left = want - n_kept, cfg.max_proposals - n_proposed
         if need > 0 and _cannot_finish(n_accepted, n_proposed, need, left):
-            # The traceback keeps this frame; drop the workspace and the
-            # chunk's views of it.
-            del ws, draws, gap, accepted
             raise RejectionBudgetError(
                 f"rejection sampling stopped: {n_proposed} proposals "
                 f"yielded {n_accepted} acceptances (need {want}); with {left} of "
@@ -318,54 +322,16 @@ def _importance(
     prior: DirichletParams,
     cfg: SamplerConfig,
     rng: np.random.Generator,
-    ws: _Workspace | None = None,
+    ws: _Workspace,
 ) -> WeightedSampleSet:
-    if ws is None:
-        ws = _Workspace(cfg.sample_count, len(prior))
+    """Weight L draws from ``prior`` by the likelihood, log w_l = -RSS(C omega_l)/2,
+    normalised by :func:`normalize_log_weights`."""
     draws, rss = ws.draw_rss(problem, prior, rng, cfg.sample_count)
     if np.any(np.isnan(rss)):
         raise BalsonError("non-finite residual during importance sampling")
     rss *= -0.5
     weights, ess = normalize_log_weights(rss)
     return WeightedSampleSet(samples=draws, weights=weights, ess=ess, acceptance_rate=1.0)
-
-
-def rejection_sample(
-    data: Dataset,
-    prior: DirichletParams,
-    spec: ModelSpec,
-    cfg: SamplerConfig,
-    rng: np.random.Generator | None = None,
-) -> WeightedSampleSet:
-    """Draw L posterior samples by rejection from the Dirichlet prior.
-
-    A proposal omega is kept with probability exp(-(RSS(C omega) - floor)/2),
-    where the floor is :func:`min_rss`, a certified lower bound on RSS over
-    the scaled simplex. The envelope therefore dominates the likelihood on
-    the whole proposal support, every acceptance probability lies in (0, 1],
-    and the kept draws are exact posterior draws; the tighter the floor, the
-    fewer proposals they cost. Raises :class:`RejectionBudgetError` as soon
-    as the pass cannot reach L acceptances (see :func:`_cannot_finish`).
-    """
-    problem = Problem.of(data, prior, spec)
-    if rng is None:
-        rng = round_rng(cfg.seed, 0)
-    return _rejection(problem, prior, cfg, rng)
-
-
-def importance_sample(
-    data: Dataset,
-    prior: DirichletParams,
-    spec: ModelSpec,
-    cfg: SamplerConfig,
-    rng: np.random.Generator | None = None,
-) -> WeightedSampleSet:
-    """Weight L prior draws by the likelihood, log w_l = -RSS(C omega_l)/2,
-    normalised by :func:`normalize_log_weights`."""
-    problem = Problem.of(data, prior, spec)
-    if rng is None:
-        rng = round_rng(cfg.seed, 0)
-    return _importance(problem, prior, cfg, rng)
 
 
 def weighted_moments(

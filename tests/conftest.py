@@ -1,14 +1,28 @@
-"""Shared oracles for the test suite.
+"""Shared oracles for the test suite, and one way into the sampling kernels.
 
-Everything here is deliberately independent of the library's computation
+The oracles are deliberately independent of the library's computation
 paths: residuals are summed directly, densities are integrated on grids,
-and optima are located by brute-force search.
+and optima are located by brute-force search. :func:`draw` is not an
+oracle; it runs one RS or IS pass as the sampling loop runs its round 0.
 """
 
 import numpy as np
 import pytest
 
-from balson import Dataset, design_matrix
+from balson import Dataset, design_matrix, samplers
+
+
+def draw(kind, data, prior, spec, cfg, rng=None):
+    """One pass of the ``kind`` ("rs" or "is") kernel on ``data`` from ``prior``.
+
+    The pass gets its own L-row workspace, so its samples outlive later
+    passes, and draws from round 0's stream unless ``rng`` is given.
+    """
+    kernel = {"rs": samplers._rejection, "is": samplers._importance}[kind]
+    if rng is None:
+        rng = samplers.round_rng(cfg.seed, 0)
+    ws = samplers._Workspace(cfg.sample_count, len(prior))
+    return kernel(samplers.Problem.of(data, prior, spec), prior, cfg, rng, ws)
 
 
 def direct_rss(theta, xs, ys):

@@ -87,6 +87,14 @@ def test_row_without_two_fields(tmp_path, capsys, row):
     assert not (tmp_path / "report.json").exists()
 
 
+@pytest.mark.parametrize("budget", ["-1", "0", "inf", "nan"])
+def test_fit_budget_that_is_not_positive_and_finite(csv_path, tmp_path, capsys, budget):
+    # The message names the option, not ModelSpec's field "scale".
+    assert cli.main(fit_args(csv_path, tmp_path, "--budget", budget)) == cli.EXIT_USAGE
+    assert capsys.readouterr().err == "usage error: budget must be a positive finite number\n"
+    assert not (tmp_path / "report.json").exists()
+
+
 def test_io_failure(tmp_path, capsys):
     missing = tmp_path / "missing.csv"
     assert cli.main(fit_args(missing, tmp_path)) == cli.EXIT_IO
@@ -274,6 +282,13 @@ def test_sample_diag(capsys):
 def test_sample_diag_too_few_samples(capsys):
     assert cli.main(["sample-diag", "--order", "3", "--samples", "50"]) == cli.EXIT_USAGE
     assert "usage error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64])
+def test_sample_diag_seed_outside_64_bits(capsys, seed):
+    # The rule every seed field keeps, not numpy's own message (or none, at 2^64).
+    assert cli.main(["sample-diag", "--order", "3", "--seed", str(seed)]) == cli.EXIT_USAGE
+    assert capsys.readouterr() == ("", "usage error: seed must fit in 64 bits\n")
 
 
 def test_sample_diag_recovers_the_prior(capsys):

@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,8 +8,6 @@ from balson import (
     ModeUndefinedError,
     MomentMatchingError,
     SimplexVector,
-    UnboundedDensityError,
-    log_density,
     match_moments_per_dim,
     mode,
     moments,
@@ -43,64 +39,6 @@ class TestTypes:
             DirichletParams(np.array([1.0, 0.0]))
         with pytest.raises(ValueError):
             DirichletParams(np.array([1.0, np.inf]))
-
-
-class TestLogDensity:
-    def test_uniform_is_flat_at_zero(self):
-        val = log_density(DirichletParams([1.0, 1.0]), SimplexVector([0.3, 0.7]))
-        assert val == pytest.approx(0.0, abs=1e-14)
-
-    def test_symmetric_two_two(self):
-        # B(2,2) = 1/6, so the pdf at the center is 0.25 * 6 = 1.5
-        val = log_density(DirichletParams([2.0, 2.0]), SimplexVector([0.5, 0.5]))
-        assert val == pytest.approx(math.log(1.5), abs=1e-12)
-
-    def test_against_grid_quadrature_k3(self):
-        # normalize the bare product w1^(a1-1) w2^(a2-1) w3^(a3-1) numerically
-        alpha = np.array([2.0, 3.0, 4.0])
-        point = np.array([0.2, 0.3, 0.5])
-        n = 2000
-        step = 1.0 / n
-        t = (np.arange(n) + 0.5) * step
-        g1, g2 = np.meshgrid(t, t, indexing="ij")
-        g3 = 1.0 - g1 - g2
-        ok = g3 > 0.0
-        bare = np.where(ok, g1 ** (alpha[0] - 1) * g2 ** (alpha[1] - 1)
-                        * np.where(ok, g3, 1.0) ** (alpha[2] - 1), 0.0)
-        normalizer = bare.sum() * step * step
-        bare_at_point = float(np.prod(point ** (alpha - 1)))
-        expected = math.log(bare_at_point / normalizer)
-        got = log_density(DirichletParams(alpha), SimplexVector(point))
-        assert got == pytest.approx(expected, rel=1e-3)
-
-    def test_unbounded_signal(self):
-        with pytest.raises(UnboundedDensityError):
-            log_density(DirichletParams([0.5, 2.0, 3.0]), SimplexVector([0.0, 0.4, 0.6]))
-
-    def test_zero_component_above_one_gives_minus_inf(self):
-        val = log_density(DirichletParams([2.0, 2.0]), SimplexVector([0.0, 1.0]))
-        assert val == -np.inf
-
-    def test_boundary_with_unit_concentration_is_finite(self):
-        val = log_density(DirichletParams([1.0, 1.0]), SimplexVector([0.0, 1.0]))
-        assert val == pytest.approx(0.0, abs=1e-14)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            log_density(DirichletParams([1.0, 1.0, 1.0]), SimplexVector([0.5, 0.5]))
-
-    @pytest.mark.parametrize("alpha", [[1.0, 1.0], [2.0, 2.0], [1.3, 3.7], [5.0, 1.0]])
-    def test_k2_density_integrates_to_one(self, alpha):
-        # extract the library's log-normalizer from one evaluation, then
-        # integrate the density it implies over the midpoint grid
-        params = DirichletParams(alpha)
-        kernel_at_center = (alpha[0] - 1.0) * math.log(0.5) + (alpha[1] - 1.0) * math.log(0.5)
-        log_norm = kernel_at_center - log_density(params, SimplexVector([0.5, 0.5]))
-        n = 400_000
-        w1 = (np.arange(n) + 0.5) / n
-        kernel = (alpha[0] - 1.0) * np.log(w1) + (alpha[1] - 1.0) * np.log(1.0 - w1)
-        integral = np.exp(kernel - log_norm).sum() / n
-        assert integral == pytest.approx(1.0, abs=1e-6)
 
 
 class TestSample:

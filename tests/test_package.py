@@ -30,20 +30,15 @@ PUBLIC = [
     "SimplexVector",
     "SolveDiagnostics",
     "Summary",
-    "UnboundedDensityError",
     "WeightedSampleSet",
     "bayesian_lasso_fit",
     "design_matrix",
     "emit_outputs",
     "generate_dataset",
-    "importance_sample",
     "ip_fit",
     "ip_solve",
     "lasso_coordinate_descent",
     "lasso_fit",
-    "log_density",
-    "log_likelihood",
-    "log_posterior_unnorm",
     "match_moments_per_dim",
     "merge_signed",
     "mode",
@@ -52,14 +47,12 @@ PUBLIC = [
     "normalize_log_weights",
     "paired_t_test",
     "predict",
-    "rejection_sample",
     "rescale",
     "run_experiment",
     "sample_batch",
     "solve",
     "solve_signed",
     "sparsity",
-    "split_signed",
     "summarize",
     "uniform_prior",
     "weighted_moments",

