@@ -55,7 +55,6 @@ from .model import (
     design_matrix,
     merge_signed,
     predict,
-    rescale,
 )
 from .samplers import (
     SamplerConfig,

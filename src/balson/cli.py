@@ -16,8 +16,8 @@ import numpy as np
 from .bench import config_from_mapping, emit_outputs, run_experiment, summarize
 from .dirichlet import DirichletParams, match_moments_per_dim, moments, sample_batch
 from .exceptions import BalsonError
-from .model import Dataset, ModelSpec, seed_field
-from .samplers import DEFAULT_RESAMPLE_ROUNDS, DEFAULT_SAMPLE_COUNT, MIN_SAMPLE_COUNT, SamplerConfig
+from .model import Dataset, ModelSpec
+from .samplers import DEFAULT_RESAMPLE_ROUNDS, DEFAULT_SAMPLE_COUNT, SamplerConfig
 from .solver import METHODS, BalsonConfig, FitReport, solve, uniform_prior
 
 EXIT_OK = 0
@@ -26,13 +26,9 @@ EXIT_NUMERICAL = 2
 EXIT_IO = 3
 
 
-class _UsageError(Exception):
-    pass
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
-        raise _UsageError(message)
+        raise ValueError(message)
 
 
 def _build_parser() -> _Parser:
@@ -70,9 +66,9 @@ def _parse_prior(text: str, order: int) -> DirichletParams:
     try:
         values = [float(v) for v in text.split(",")]
     except ValueError as err:
-        raise _UsageError(f"--prior must be 'uniform' or a comma list: {err}") from err
+        raise ValueError(f"--prior must be 'uniform' or a comma list: {err}") from err
     if len(values) != order:
-        raise _UsageError(f"--prior has {len(values)} entries but --order is {order}")
+        raise ValueError(f"--prior has {len(values)} entries but --order is {order}")
     return DirichletParams(np.asarray(values))
 
 
@@ -82,22 +78,22 @@ def _read_xy_csv(path: str) -> Dataset:
         try:
             header = next(reader)
         except StopIteration:
-            raise _UsageError(f"{path}: empty input file") from None
+            raise ValueError(f"{path}: empty input file") from None
         if [h.strip().lower() for h in header] != ["x", "y"]:
-            raise _UsageError(f"{path}: expected header 'x,y', got {header}")
+            raise ValueError(f"{path}: expected header 'x,y', got {header}")
         xs, ys = [], []
         for lineno, row in enumerate(reader, start=2):
             if not row:
                 continue
             if len(row) != 2:
-                raise _UsageError(
+                raise ValueError(
                     f"{path}:{lineno}: bad row {row}: expected 2 fields, got {len(row)}"
                 )
             try:
                 xs.append(float(row[0]))
                 ys.append(float(row[1]))
             except ValueError as err:
-                raise _UsageError(f"{path}:{lineno}: bad row {row}: {err}") from err
+                raise ValueError(f"{path}:{lineno}: bad row {row}: {err}") from err
     return Dataset(np.asarray(xs), np.asarray(ys))
 
 
@@ -143,13 +139,13 @@ def _cmd_bench(args) -> int:
         try:
             raw = json.load(handle)
         except json.JSONDecodeError as err:
-            raise _UsageError(f"{args.config}: invalid JSON: {err}") from err
+            raise ValueError(f"{args.config}: invalid JSON: {err}") from err
     cfg = config_from_mapping(raw)
     if args.workers is not None:
         cfg = dataclasses.replace(cfg, workers=args.workers)
     out_dir = args.out_dir or cfg.out_dir
     if out_dir is None:
-        raise _UsageError("an output directory is required (--out-dir or config out_dir)")
+        raise ValueError("an output directory is required (--out-dir or config out_dir)")
     table = run_experiment(cfg)
     summary = summarize(table)
     manifest = emit_outputs(table, summary, out_dir, svg=args.svg)
@@ -169,10 +165,8 @@ def _cmd_bench(args) -> int:
 
 def _cmd_sample_diag(args) -> int:
     prior = _parse_prior(args.prior, args.order)
-    if args.samples < MIN_SAMPLE_COUNT:
-        raise _UsageError(f"--samples must be at least {MIN_SAMPLE_COUNT}")
-    rng = np.random.default_rng([seed_field(args.seed, "seed")])
-    draws = sample_batch(prior, rng, args.samples)
+    cfg = SamplerConfig(sample_count=args.samples, seed=args.seed)
+    draws = sample_batch(prior, np.random.default_rng([cfg.seed]), cfg.sample_count)
     mean_hat = draws.mean(axis=0)
     var_hat = draws.var(axis=0)
     mean_true, var_true = moments(prior)
@@ -196,9 +190,6 @@ def main(argv=None) -> int:
         if args.command == "bench":
             return _cmd_bench(args)
         return _cmd_sample_diag(args)
-    except _UsageError as err:
-        print(f"usage error: {err}", file=sys.stderr)
-        return EXIT_USAGE
     except (BalsonError, np.linalg.LinAlgError) as err:
         # LinAlgError subclasses ValueError, so it is caught first.
         print(f"numerical failure: {err}", file=sys.stderr)

@@ -35,9 +35,6 @@ class SimplexVector:
         if abs(float(values.sum()) - 1.0) > SIMPLEX_SUM_TOL:
             raise ValueError("simplex components must sum to 1 within 1e-12")
 
-    def __len__(self):
-        return self.values.shape[0]
-
 
 @dataclass(frozen=True)
 class DirichletParams:
@@ -59,10 +56,6 @@ class DirichletParams:
 
     def __len__(self):
         return self.alpha.shape[0]
-
-    @property
-    def alpha0(self) -> float:
-        return float(self.alpha.sum())
 
 
 def sample_batch(

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dirichlet import SimplexVector
 from .exceptions import BalsonError
 
 
@@ -33,9 +32,6 @@ class Dataset:
             raise ValueError("inputs and targets must be 1-D and the same length")
         if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
             raise ValueError("dataset values must be finite")
-
-    def __len__(self):
-        return self.inputs.shape[0]
 
 
 def integral(value, name: str) -> int:
@@ -103,9 +99,6 @@ class ParameterVector:
         if not np.all(np.isfinite(theta)):
             raise ValueError("theta must be finite")
 
-    def __len__(self):
-        return self.theta.shape[0]
-
 
 def design_matrix(xs, order: int) -> np.ndarray:
     """Row-per-observation monomial design [1, x, ..., x^(order-1)], shape (N, order).
@@ -123,7 +116,7 @@ def design_matrix(xs, order: int) -> np.ndarray:
 
 def predict(theta, x):
     """Model value theta . [1, x, ..., x^(K-1)]; x may be a scalar or array."""
-    theta = theta.theta if isinstance(theta, ParameterVector) else np.asarray(theta, dtype=np.float64)
+    theta = np.asarray(theta, dtype=np.float64)
     values = design_matrix(np.atleast_1d(x), theta.shape[0]) @ theta
     return float(values[0]) if np.ndim(x) == 0 else values
 
@@ -228,16 +221,9 @@ class ResidualForm:
         return float(total[0]) if single else total
 
 
-def rescale(omega: SimplexVector, budget: float) -> ParameterVector:
-    """Map a simplex point back to coefficients: theta_i = C * omega_i."""
-    if not budget > 0.0:
-        raise ValueError("budget must be positive")
-    return ParameterVector(budget * omega.values)
-
-
 def merge_signed(theta_nonneg) -> np.ndarray:
     """Collapse a split nonnegative vector back: theta_i = pos_i - neg_i."""
-    v = theta_nonneg.theta if isinstance(theta_nonneg, ParameterVector) else np.asarray(theta_nonneg, dtype=np.float64)
+    v = np.asarray(theta_nonneg, dtype=np.float64)
     if v.ndim != 1 or v.shape[0] % 2 != 0:
         raise ValueError("split vector must be 1-D with even length")
     if np.any(v < 0.0):

@@ -3,7 +3,7 @@
 Pipeline: build the solve's :class:`~balson.samplers.Problem`, run
 :func:`~balson.samplers.fit_posterior`, the sampling loop, at the selected
 scheme of :data:`~balson.samplers.SCHEMES`, take the sparse mode of the
-Dirichlet it fits, and rescale back to the coefficient budget. The signed
+Dirichlet it fits, and scale that simplex point by the budget C. The signed
 entry point covers ordinary L1 problems through the split reduction.
 """
 
@@ -14,9 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dirichlet import DirichletParams, SimplexVector, mode
+from .dirichlet import DirichletParams, SimplexVector, mode, moments
 from .exceptions import ModeUndefinedError
-from .model import Dataset, ModelSpec, ParameterVector, merge_signed, rescale
+from .model import Dataset, ModelSpec, ParameterVector, merge_signed
 from .samplers import SCHEMES, Problem, SamplerConfig, fit_posterior
 
 METHODS = tuple(SCHEMES)
@@ -78,9 +78,9 @@ def _solve_design(problem: Problem, *, cfg: BalsonConfig) -> FitReport:
     except ModeUndefinedError:
         # All concentrations at or below 1: fall back to the posterior mean,
         # which is always a valid simplex point.
-        omega_star = SimplexVector(alpha_star.alpha / alpha_star.alpha0)
+        omega_star = SimplexVector(moments(alpha_star)[0])
         fallback = True
-    theta_star = rescale(omega_star, problem.budget)
+    theta_star = ParameterVector(problem.budget * omega_star.values)
     diagnostics = SolveDiagnostics(
         method=cfg.method,
         prior_alpha=tuple(float(a) for a in cfg.prior.alpha),
@@ -113,4 +113,4 @@ def solve_signed(data: Dataset, cfg: BalsonConfig) -> np.ndarray:
     absolute sum is at most the budget.
     """
     problem = Problem.of(data, cfg.prior, cfg.spec, signed=True)
-    return merge_signed(_solve_design(problem, cfg=cfg).theta_star)
+    return merge_signed(_solve_design(problem, cfg=cfg).theta_star.theta)

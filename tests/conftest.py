@@ -1,10 +1,13 @@
-"""Shared oracles for the test suite, and one way into the sampling kernels.
+"""Shared oracles for the test suite, one way into the sampling kernels, and
+one reader of a bench run's files.
 
 The oracles are deliberately independent of the library's computation
 paths: residuals are summed directly, densities are integrated on grids,
 and optima are located by brute-force search. :func:`draw` is not an
 oracle; it runs one RS or IS pass as the sampling loop runs its round 0.
 """
+
+import csv
 
 import numpy as np
 import pytest
@@ -23,6 +26,17 @@ def draw(kind, data, prior, spec, cfg, rng=None):
         rng = samplers.round_rng(cfg.seed, 0)
     ws = samplers._Workspace(cfg.sample_count, len(prior))
     return kernel(samplers.Problem.of(data, prior, spec), prior, cfg, rng, ws)
+
+
+def bench_outputs(out):
+    """Every file a bench run wrote to ``out``, by name; runs.csv as its rows
+    without wall_clock_s, the one column that is not a function of the config."""
+    files = {p.name: p.read_bytes() for p in out.iterdir()}
+    with (out / "runs.csv").open(newline="") as handle:
+        files["runs.csv"] = [
+            {k: v for k, v in row.items() if k != "wall_clock_s"} for row in csv.DictReader(handle)
+        ]
+    return files
 
 
 def direct_rss(theta, xs, ys):

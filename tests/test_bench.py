@@ -16,6 +16,7 @@ from balson import (
     summarize,
 )
 from balson.bench import config_echo, config_from_mapping
+from conftest import bench_outputs
 
 TINY = ExperimentConfig(
     n_test=50,
@@ -79,13 +80,7 @@ def bench_files(tmp_path, name, workers):
     table = run_experiment(dataclasses.replace(TINY, workers=workers))
     written = emit_outputs(table, summarize(table), out, svg=True)
     assert {p.name for p in written} == OUTPUT_FILES
-    files = {p.name: p.read_bytes() for p in written}
-    # wall_clock_s is the only column that is not a function of the config.
-    with (out / "runs.csv").open(newline="") as handle:
-        files["runs.csv"] = [
-            {k: v for k, v in row.items() if k != "wall_clock_s"} for row in csv.DictReader(handle)
-        ]
-    return files
+    return bench_outputs(out)
 
 
 def test_outputs_are_reproducible_and_independent_of_workers(tmp_path):

@@ -9,6 +9,7 @@ import pytest
 from balson import cli
 from balson.bench import config_from_mapping
 from balson.exceptions import BalsonError
+from conftest import bench_outputs
 
 
 @pytest.fixture
@@ -58,6 +59,7 @@ def test_success(csv_path, tmp_path, method):
     [
         ("--bogus",),  # argparse rejects it
         ("--prior", "1,2,3"),  # wrong prior length
+        ("--prior", "1,x"),  # not a number
         ("--budget", "-1"),  # ModelSpec raises ValueError
     ],
 )
@@ -78,13 +80,40 @@ def test_numerical_failure(csv_path, tmp_path, capsys, monkeypatch, error):
     assert "numerical failure" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("row", ["0,1,7", "0"])
+@pytest.mark.parametrize("row", ["0,1,7", "0", "0,abc"])
 def test_row_without_two_fields(tmp_path, capsys, row):
     path = tmp_path / "data.csv"
     path.write_text(f"x,y\n0.5,1\n{row}\n")
     assert cli.main(fit_args(path, tmp_path)) == cli.EXIT_USAGE
     assert f"usage error: {path}:3: bad row" in capsys.readouterr().err
     assert not (tmp_path / "report.json").exists()
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("", "{path}: empty input file"),
+        ("a,b\n0,1\n", "{path}: expected header 'x,y', got ['a', 'b']"),
+    ],
+)
+def test_csv_without_the_x_y_header(tmp_path, capsys, text, message):
+    path = tmp_path / "data.csv"
+    path.write_text(text)
+    assert cli.main(fit_args(path, tmp_path)) == cli.EXIT_USAGE
+    assert capsys.readouterr().err == f"usage error: {message.format(path=path)}\n"
+    assert not (tmp_path / "report.json").exists()
+
+
+def test_blank_csv_lines_are_skipped(csv_path, tmp_path):
+    spaced = tmp_path / "spaced.csv"
+    spaced.write_text(csv_path.read_text().replace("\n", "\n\n"))
+    reports = []
+    for path in (csv_path, spaced):
+        assert cli.main(fit_args(path, tmp_path)) == cli.EXIT_OK
+        report = json.loads((tmp_path / "report.json").read_text())
+        del report["diagnostics"]["wall_clock_s"]
+        reports.append(report)
+    assert reports[0] == reports[1]
 
 
 @pytest.mark.parametrize("budget", ["-1", "0", "inf", "nan"])
@@ -121,6 +150,48 @@ def test_bench_writes_what_it_reports(tmp_path, capsys):
     # A run's own config echo is a valid config.
     echo = str(out / "config.json")
     assert cli.main(["bench", "--config", echo, "--out-dir", str(tmp_path / "again")]) == cli.EXIT_OK
+
+
+def test_bench_workers_option_changes_no_output(tmp_path):
+    config = tmp_path / "bench.json"
+    config.write_text(json.dumps(TINY_BENCH))
+    outputs = []
+    for workers in ("1", "2"):
+        out = tmp_path / f"workers_{workers}"
+        argv = ["bench", "--config", str(config), "--out-dir", str(out), "--svg", "--workers", workers]
+        assert cli.main(argv) == cli.EXIT_OK
+        outputs.append(bench_outputs(out))
+    assert len(outputs[0]) == 9
+    assert outputs[0] == outputs[1]
+
+
+def test_bench_invalid_json(tmp_path, capsys):
+    config = tmp_path / "bench.json"
+    config.write_text("{")
+    assert cli.main(["bench", "--config", str(config), "--out-dir", str(tmp_path / "out")]) == cli.EXIT_USAGE
+    assert capsys.readouterr().err.startswith(f"usage error: {config}: invalid JSON: ")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "raw, extra, message",
+    [
+        ({"n_train": 4}, [], "n_train must be at least the coefficient count (and >= 2)"),
+        ({"n_test": 1}, [], "n_test must be >= 2"),
+        ({"repetitions": 0}, [], "repetitions must be >= 1"),
+        ({"methods": ["IP", "BALSON-XS"]}, [], "unknown methods: ['BALSON-XS']"),
+        ({"methods": ["IP", "IP"]}, [], "methods must not repeat"),
+        ({"workers": 0}, [], "workers must be >= 1"),
+        ({}, ["--workers", "0"], "workers must be >= 1"),
+    ],
+)
+def test_bench_config_out_of_range(tmp_path, capsys, raw, extra, message):
+    config = tmp_path / "bench.json"
+    config.write_text(json.dumps(raw))
+    argv = ["bench", "--config", str(config), "--out-dir", str(tmp_path / "out"), *extra]
+    assert cli.main(argv) == cli.EXIT_USAGE
+    assert capsys.readouterr().err == f"usage error: {message}\n"
+    assert not (tmp_path / "out").exists()
 
 
 def test_bench_without_output_directory(tmp_path, capsys):
@@ -280,8 +351,9 @@ def test_sample_diag(capsys):
 
 
 def test_sample_diag_too_few_samples(capsys):
+    # The rule and message of SamplerConfig, as for fit --samples 50.
     assert cli.main(["sample-diag", "--order", "3", "--samples", "50"]) == cli.EXIT_USAGE
-    assert "usage error" in capsys.readouterr().err
+    assert capsys.readouterr() == ("", "usage error: sample_count must be at least 100\n")
 
 
 @pytest.mark.parametrize("seed", [-1, 2**64])

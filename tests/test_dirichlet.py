@@ -52,6 +52,22 @@ class TestSample:
         assert np.all(draws >= 0.0)
         assert np.max(np.abs(draws.sum(axis=1) - 1.0)) <= 1e-12
 
+    def test_rows_whose_gammas_all_underflow_are_redrawn(self):
+        alpha = np.full(5, 1e-3)
+        first = np.random.default_rng(0).standard_gamma(alpha, size=(1000, 5))
+        dead = first.sum(axis=1) == 0.0
+        assert dead.sum() == 21
+        draws = sample_batch(DirichletParams(alpha), np.random.default_rng(0), 1000)
+        assert np.all(draws >= 0.0)
+        assert np.max(np.abs(draws.sum(axis=1) - 1.0)) <= 1e-12
+        # Every other row keeps its first draw.
+        kept = first[~dead]
+        np.testing.assert_allclose(draws[~dead], kept / kept.sum(axis=1, keepdims=True), rtol=1e-14)
+
+    def test_gammas_that_always_underflow_raise(self):
+        with pytest.raises(MomentMatchingError, match="underflowed"):
+            sample_batch(DirichletParams(np.full(5, 1e-6)), np.random.default_rng(0), 1000)
+
     def test_symmetric_mean(self):
         rng = np.random.default_rng(7)
         draws = sample_batch(DirichletParams([1.0, 1.0]), rng, 100_000)

@@ -4,14 +4,16 @@ import numpy as np
 import pytest
 
 from balson import (
+    BalsonConfig,
     Dataset,
     ModelSpec,
     ParameterVector,
-    SimplexVector,
+    SamplerConfig,
     design_matrix,
     merge_signed,
     predict,
-    rescale,
+    solve,
+    uniform_prior,
 )
 from balson.exceptions import BalsonError
 from balson.model import ResidualForm
@@ -114,22 +116,29 @@ class TestPredict:
 
 
 class TestRescale:
+    """A solve's coefficients are its simplex point scaled by the budget: theta = C omega."""
+
+    @staticmethod
+    def fit(budget):
+        xs = np.linspace(0.0, 1.0, 100)
+        data = Dataset(xs, predict(PAPER_THETA, xs) + np.random.default_rng(0).standard_normal(100))
+        cfg = BalsonConfig("IS", uniform_prior(5), ModelSpec(5, budget), SamplerConfig(sample_count=500))
+        report = solve(data, cfg)
+        return report.theta_star.theta, report.omega_star.values
+
     def test_unit_budget_is_identity(self):
-        omega = SimplexVector([0.25, 0.75])
-        np.testing.assert_array_equal(rescale(omega, 1.0).theta, omega.values)
+        theta, omega = self.fit(1.0)
+        assert theta.tobytes() == omega.tobytes()
 
     def test_scaling(self):
-        np.testing.assert_allclose(rescale(SimplexVector([1.0, 0.0, 0.0]), 2.0).theta, [2.0, 0.0, 0.0])
+        theta, omega = self.fit(2.0)
+        assert theta.tobytes() == (2.0 * omega).tobytes()
 
     def test_budget_sum_and_ratios(self, rng):
-        for _ in range(20):
-            raw = rng.uniform(0.01, 1.0, 4)
-            omega = SimplexVector(raw / raw.sum())
-            budget = float(rng.uniform(0.1, 10))
-            theta = rescale(omega, budget).theta
-            assert abs(theta.sum() - budget) <= 1e-12 * budget
-            ratio = theta[0] / theta[1]
-            assert ratio == pytest.approx(omega.values[0] / omega.values[1], rel=1e-12)
+        budget = float(rng.uniform(0.1, 10))
+        theta, omega = self.fit(budget)
+        assert theta.tobytes() == (budget * omega).tobytes()
+        assert abs(theta.sum() - budget) <= 1e-12 * budget
 
 
 class TestSignedSplit:

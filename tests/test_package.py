@@ -47,7 +47,6 @@ PUBLIC = [
     "normalize_log_weights",
     "paired_t_test",
     "predict",
-    "rescale",
     "run_experiment",
     "sample_batch",
     "solve",

@@ -13,6 +13,7 @@ from balson import (
     BalsonConfig,
     BaselineConfig,
     Dataset,
+    DirichletParams,
     GibbsParams,
     ModelSpec,
     RejectionBudgetError,
@@ -349,6 +350,18 @@ class TestSolveIsTheLoopPlusTheMode:
         assert diag.ess_per_round == tuple(r.ess for r in trace)
         assert diag.alpha0_trajectory == tuple(float(r.alpha.sum()) for r in trace)
         assert (diag.acceptance_rate, diag.proposals) == (trace[0].acceptance_rate, trace[0].proposals)
+
+    def test_mean_fallback(self, monkeypatch):
+        # No concentration exceeds 1, so the mode is undefined and the fit is the mean.
+        alpha = DirichletParams([0.5, 1.0, 0.25, 0.75, 0.125])
+        fit_posterior = solver.fit_posterior
+        monkeypatch.setattr(solver, "fit_posterior", lambda *args: (alpha, fit_posterior(*args)[1]))
+        cfg = dataclasses.replace(config("IS"), spec=ModelSpec(len(PAPER_THETA), 2.5))
+        report = solve(paper_like(100), cfg)
+        omega = alpha.alpha / alpha.alpha.sum()
+        assert report.diagnostics.mean_fallback
+        assert report.omega_star.values.tobytes() == omega.tobytes()
+        assert report.theta_star.theta.tobytes() == (2.5 * omega).tobytes()
 
     def test_unknown_method(self):
         with pytest.raises(ValueError, match="method must be one of"):
