@@ -23,7 +23,6 @@ from .model import (
     ResidualForm,
     integral,
     merge_signed,
-    seed_field,
 )
 
 
@@ -78,12 +77,10 @@ class GibbsParams:
     burn_in: int = 1000
     hyper_shape: float = 1.0
     hyper_rate: float = 0.1
-    seed: int = 0
 
     def __post_init__(self):
         for name in ("iterations", "burn_in"):
             object.__setattr__(self, name, integral(getattr(self, name), name))
-        object.__setattr__(self, "seed", seed_field(self.seed, "seed"))
         if self.burn_in < 0:
             raise ValueError("burn_in must be >= 0")
         if self.iterations <= self.burn_in:
@@ -223,8 +220,9 @@ def _barrier_qp(
     largest eigenvalue of D 2G D. So the gap is not asked to go below what
     rounding resolves, and M's diagonal is never less than r, so that its
     Cholesky factorisation succeeds however singular G is. Raises
-    :class:`BalsonError` if the factorisation fails all the same, or if the
-    step cap is reached first.
+    :class:`BalsonError` if the target is not finite (y'y, RSS or r
+    overflows), if the factorisation fails all the same, or if the step cap
+    is reached first.
     """
     k = gram.shape[0]
     gram2 = 2.0 * gram
@@ -239,6 +237,8 @@ def _barrier_qp(
         grad = gram_theta - xty2
         rss = yty + float(theta @ (0.5 * gram_theta - xty2))
         target = gap_tol * max(rss, 1.0) + resolution
+        if not math.isfinite(target):
+            raise BalsonError(f"barrier stop target is {target}: the statistics or budget overflow")
         if float(grad @ theta) - budget * float(grad.min()) <= target:
             return theta
         hess = gram2 * np.outer(theta, theta)
@@ -277,7 +277,7 @@ def bayesian_lasso_fit(
     data: Dataset,
     spec: ModelSpec,
     cfg: BaselineConfig,
-    rng: np.random.Generator | None = None,
+    rng: np.random.Generator,
 ) -> np.ndarray:
     """Gibbs sampler for the Laplace-prior linear model; returns the posterior mean.
 
@@ -291,12 +291,11 @@ def bayesian_lasso_fit(
     normal nu and a uniform u into each 1/tau_i^2, tau^2 is clipped to
     [1e-10, 1e10], and lam^2 = g / (rate + sum(tau^2)/2). z, nu, u and
     g ~ Gamma(K + shape, 1) each have a child generator seeded from ``rng``,
-    drawn ``_GIBBS_BLOCK`` iterations at a time, so the block size changes no
-    bit. Raises :class:`BalsonError` if the Gram or X'y is non-finite, or if P
-    is not positive definite."""
+    which is required (the bench passes one per row from its
+    :func:`~balson.bench.method_seed`), drawn ``_GIBBS_BLOCK`` iterations at
+    a time, so the block size changes no bit. Raises :class:`BalsonError` if
+    the Gram or X'y is non-finite, or if P is not positive definite."""
     params = cfg.gibbs
-    if rng is None:
-        rng = np.random.default_rng([params.seed])
     form = ResidualForm(data.inputs, data.targets, order=spec.order)
     k = spec.order
     normals, ig_normals, uniforms, gammas = map(np.random.default_rng, rng.integers(2**63, size=4).tolist())

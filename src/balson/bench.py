@@ -50,7 +50,6 @@ class ExperimentConfig:
     sampler: SamplerConfig = field(default_factory=SamplerConfig)
     baselines: BaselineConfig = field(default_factory=BaselineConfig)
     base_seed: int = 0
-    out_dir: str | None = None
     workers: int = 1
 
     def __post_init__(self):
@@ -126,9 +125,9 @@ def method_seed(base_seed: int, repetition: int, method: str) -> int:
     """The solver seed of one row, from (base_seed, repetition, method).
 
     It does not depend on which methods are enabled or on the schedule. It
-    takes the place of ``sampler.seed`` and ``baselines.gibbs.seed``, so
-    these change no row, although ``config.json`` echoes them: vary
-    ``base_seed`` instead.
+    overrides only ``sampler.seed``, which therefore changes no row although
+    ``config.json`` echoes it (the Bayesian LASSO takes its generator from
+    this seed, having none of its own): vary ``base_seed`` instead.
     """
     index = ALL_METHODS.index(method)
     state = np.random.SeedSequence([base_seed, repetition, index]).generate_state(1, np.uint64)
@@ -246,10 +245,9 @@ def summarize(table: ResultTable) -> Summary:
 def config_echo(cfg: ExperimentConfig) -> dict:
     """Experiment definition as plain data that :func:`config_from_mapping` reads back.
 
-    Scheduling/IO knobs and the ignored ``baselines.lasso`` are left out.
+    The scheduling knob ``workers`` and the ignored ``baselines.lasso`` are left out.
     """
     echo = dataclasses.asdict(cfg)
-    echo.pop("out_dir")
     echo.pop("workers")
     echo["baselines"].pop("lasso")
     return echo

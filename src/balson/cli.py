@@ -14,6 +14,7 @@ import sys
 import numpy as np
 
 from .bench import config_from_mapping, emit_outputs, run_experiment, summarize
+from .bench_output import QUALITY
 from .dirichlet import DirichletParams, match_moments_per_dim, moments, sample_batch
 from .exceptions import BalsonError
 from .model import Dataset, ModelSpec
@@ -48,7 +49,7 @@ def _build_parser() -> _Parser:
 
     bench = sub.add_parser("bench", help="run the multi-method benchmark")
     bench.add_argument("--config", required=True, help="JSON experiment config")
-    bench.add_argument("--out-dir", default=None)
+    bench.add_argument("--out-dir", required=True)
     bench.add_argument("--svg", action="store_true")
     bench.add_argument("--workers", type=int, default=None)
 
@@ -143,21 +144,15 @@ def _cmd_bench(args) -> int:
     cfg = config_from_mapping(raw)
     if args.workers is not None:
         cfg = dataclasses.replace(cfg, workers=args.workers)
-    out_dir = args.out_dir or cfg.out_dir
-    if out_dir is None:
-        raise ValueError("an output directory is required (--out-dir or config out_dir)")
     table = run_experiment(cfg)
     summary = summarize(table)
-    manifest = emit_outputs(table, summary, out_dir, svg=args.svg)
+    manifest = emit_outputs(table, summary, args.out_dir, svg=args.svg)
     for method, stats in summary.method_means.items():
-        mean_mse = stats["mean_mse"]
-        mean_sp = stats["mean_sparsity"]
-        print(
-            f"{method:>16s}  mean_mse={mean_mse:.6f}  mean_sparsity={mean_sp:.6f}  "
-            f"n_ok={stats['n_ok']}"
-            if mean_mse is not None
-            else f"{method:>16s}  no successful repetitions"
-        )
+        if stats["n_ok"] == 0:
+            print(f"{method:>16s}  no successful repetitions")
+            continue
+        means = "".join(f"mean_{q}={stats[f'mean_{q}']:.6f}  " for q in QUALITY)
+        print(f"{method:>16s}  {means}n_ok={stats['n_ok']}")
     for path in manifest:
         print(f"wrote {path}")
     return EXIT_OK

@@ -167,8 +167,8 @@ class ResidualForm:
     built from the K-column statistics as [[G, -G], [-G, G]] and
     [X'y, -X'y], so the N x 2K design is never formed.
 
-    Raises :class:`BalsonError` if the Gram or X'y is non-finite, so every
-    solver on the form can take its statistics as finite.
+    Raises :class:`BalsonError` if the Gram or X'y is non-finite, not y'y:
+    solvers take those two as finite, and the barrier core checks its target.
     """
 
     def __init__(

@@ -1,5 +1,6 @@
-"""Shared oracles for the test suite, one way into the sampling kernels, and
-one reader of a bench run's files.
+"""Shared oracles for the test suite, one way into the sampling kernels, one
+reader of a bench run's files, and inputs on which the barrier's stop target
+overflows.
 
 The oracles are deliberately independent of the library's computation
 paths: residuals are summed directly, densities are integrated on grids,
@@ -12,7 +13,7 @@ import csv
 import numpy as np
 import pytest
 
-from balson import Dataset, design_matrix, samplers
+from balson import Dataset, ModelSpec, design_matrix, samplers
 
 
 def draw(kind, data, prior, spec, cfg, rng=None):
@@ -26,6 +27,17 @@ def draw(kind, data, prior, spec, cfg, rng=None):
         rng = samplers.round_rng(cfg.seed, 0)
     ws = samplers._Workspace(cfg.sample_count, len(prior))
     return kernel(samplers.Problem.of(data, prior, spec), prior, cfg, rng, ws)
+
+
+# (scale of y, budget C) at which the barrier's stop target overflows: y'y
+# does at y ~ 1e160, and the rounding term, which grows as C^2, at C = 1e160.
+OVERFLOWING_TARGETS = [(1e160, 1.0), (1e150, 1e160)]
+
+
+def overflowing_problem(scale, budget):
+    """y = scale (0.3 + 0.5 x) on 50 points of [0, 1], fitted at order 5 and ``budget``."""
+    xs = np.linspace(0.0, 1.0, 50)
+    return Dataset(xs, scale * (0.3 + 0.5 * xs)), ModelSpec(5, budget)
 
 
 def bench_outputs(out):

@@ -33,6 +33,7 @@ from balson import (
 from balson import baselines
 from balson.baselines import _inverse_gaussian
 from balson.bench import ExperimentConfig, config_from_mapping, generate_dataset, method_seed
+from conftest import OVERFLOWING_TARGETS, overflowing_problem
 
 
 def dataset(theta, n, seed, noise=0.05):
@@ -114,13 +115,35 @@ class TestNonFiniteStatistics:
         xs = np.linspace(0.0, 1.0, 20)
         xs[3] = 1e100
         data = Dataset(xs, np.ones(20))
+        rng = [np.random.default_rng([0])] if fit is bayesian_lasso_fit else []
         # The basis itself overflows. Any other floating-point warning, as from
         # Newton steps on NaN iterates, fails the test.
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with np.errstate(over="ignore"):
                 with pytest.raises(BalsonError, match="non-finite Gram or X'y"):
-                    fit(data, ModelSpec(5, 1.0), BaselineConfig())
+                    fit(data, ModelSpec(5, 1.0), BaselineConfig(), *rng)
+
+    @pytest.mark.parametrize("scale, budget", OVERFLOWING_TARGETS)
+    @pytest.mark.parametrize("fit", [ip_fit, lasso_fit])
+    def test_overflowing_stop_target_raises(self, fit, scale, budget):
+        # The Gram and X'y are finite, so only the barrier core can tell: an
+        # unchecked target passes the first iterate, the simplex centre.
+        data, spec = overflowing_problem(scale, budget)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with np.errstate(over="ignore"):
+                with pytest.raises(BalsonError, match="^barrier stop target is inf: "):
+                    fit(data, spec, BaselineConfig())
+
+    def test_bayesian_lasso_reads_no_yty(self):
+        data, spec = overflowing_problem(1e160, 1.0)
+        with np.errstate(over="ignore"):
+            fitted = bayesian_lasso_fit(data, spec, BaselineConfig(gibbs=SHORT_CHAIN), np.random.default_rng([0]))
+        expected = reference_bayesian_lasso(data, spec, SHORT_CHAIN, np.random.default_rng([0]))
+        # The small coefficients come from cancellation between ones near 1e160,
+        # so the chains agree to a share of the largest, not of each.
+        np.testing.assert_allclose(fitted, expected, rtol=0.0, atol=1e-10 * np.abs(expected).max())
 
 
 class TestIp:
@@ -354,21 +377,13 @@ class TestBayesianLasso:
         second = bayesian_lasso_fit(data, spec, cfg, np.random.default_rng([seed]))
         assert first.tobytes() == second.tobytes()
 
-    def test_default_generator_uses_params_seed(self):
-        data, spec, _ = paper_problem(1)
-        cfg = BaselineConfig(gibbs=GibbsParams(iterations=500, burn_in=100, seed=7))
-        explicit = bayesian_lasso_fit(data, spec, cfg, np.random.default_rng([7]))
-        assert bayesian_lasso_fit(data, spec, cfg).tobytes() == explicit.tobytes()
-        other = bayesian_lasso_fit(data, spec, cfg, np.random.default_rng([8]))
-        assert not np.array_equal(other, explicit)
-
     def test_overflowing_basis_raises(self):
         xs = np.linspace(0.0, 1.0, 20)
         xs[3] = 1e100
         data = Dataset(xs, np.ones(20))
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(BalsonError, match="non-finite"):
-                bayesian_lasso_fit(data, ModelSpec(5, 1.0), BaselineConfig(gibbs=SHORT_CHAIN))
+                bayesian_lasso_fit(data, ModelSpec(5, 1.0), BaselineConfig(gibbs=SHORT_CHAIN), np.random.default_rng([0]))
 
     def test_indefinite_precision_raises(self):
         # A finite Gram with entries near 1e160 swamps the unit prior precision.
@@ -376,7 +391,7 @@ class TestBayesianLasso:
         xs[3] = 1e20
         data = Dataset(xs, np.ones(20))
         with pytest.raises(BalsonError, match="singular conditional covariance at iteration 0"):
-            bayesian_lasso_fit(data, ModelSpec(5, 1.0), BaselineConfig(gibbs=SHORT_CHAIN))
+            bayesian_lasso_fit(data, ModelSpec(5, 1.0), BaselineConfig(gibbs=SHORT_CHAIN), np.random.default_rng([0]))
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -386,8 +401,6 @@ class TestBayesianLasso:
             {"hyper_shape": 0.0},
             {"hyper_rate": -1.0},
             {"iterations": 60, "burn_in": -5},
-            {"seed": -1},
-            {"seed": 2**64},
             {"hyper_shape": float("nan")},
             {"hyper_rate": float("nan")},
             {"hyper_rate": float("inf")},

@@ -66,7 +66,7 @@ def test_config_echo_loads_back():
         sampler=SamplerConfig(sample_count=300, resample_rounds=4, max_proposals=9000, seed=5),
         baselines=BaselineConfig(
             ip=IpParams(gap_tol=1e-8),
-            gibbs=GibbsParams(iterations=90, burn_in=30, seed=3),
+            gibbs=GibbsParams(iterations=90, burn_in=30),
         ),
         base_seed=11,
     )

@@ -26,7 +26,7 @@ from balson import (
 from balson import samplers
 from balson.model import ResidualForm
 from balson.samplers import Problem, fit_posterior, min_rss, round_rng
-from conftest import draw, quadrature_posterior_k2, weighted_se_mean
+from conftest import draw, overflowing_problem, quadrature_posterior_k2, weighted_se_mean
 
 EMPTY = Dataset(np.array([]), np.array([]))
 
@@ -185,6 +185,13 @@ class TestRejectionSampling:
         np.testing.assert_array_equal(a.samples, b.samples)
         assert a.acceptance_rate == b.acceptance_rate
 
+    def test_overflowing_floor_raises(self):
+        # y'y overflows, so the envelope floor cannot be certified.
+        data, spec = overflowing_problem(1e160, 1.0)
+        with np.errstate(over="ignore"):
+            with pytest.raises(BalsonError, match="^barrier stop target is inf: "):
+                draw("rs", data, uniform_prior(5), spec, SamplerConfig(sample_count=200))
+
 
 class TestStopRule:
     """When a rejection pass stops: the one-sided Clopper-Pearson bound p_hi on
@@ -248,6 +255,14 @@ class TestImportanceSampling:
         b = draw("is", data, uniform_prior(2), ModelSpec(2, 1.0), cfg)
         np.testing.assert_array_equal(a.samples, b.samples)
         np.testing.assert_array_equal(a.weights, b.weights)
+
+    def test_non_finite_residual_raises(self):
+        # At C = 1e160 the quadratic and cross terms of the RSS overflow to
+        # inf and -inf, and their sum is NaN.
+        data, spec = overflowing_problem(1e150, 1e160)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(BalsonError, match="^non-finite residual during importance sampling$"):
+                draw("is", data, uniform_prior(5), spec, SamplerConfig(sample_count=200))
 
 
 class TestWeightedMoments:
@@ -353,6 +368,13 @@ class TestIteratedSchemes:
         cfg = SamplerConfig(sample_count=100, max_proposals=100, resample_rounds=1, seed=0)
         with pytest.raises(RejectionBudgetError, match="round 0"):
             fit_scheme("RSIRS", data, uniform_prior(2), ModelSpec(2, 1.0), cfg)
+
+    def test_round_annotation_on_a_non_finite_residual(self):
+        data, spec = overflowing_problem(1e150, 1e160)
+        cfg = SamplerConfig(sample_count=200, resample_rounds=1)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(BalsonError, match="^resampling round 0: non-finite residual during importance sampling$"):
+                fit_scheme("ISIRS", data, uniform_prior(5), spec, cfg)
 
     def test_deterministic(self):
         data = noisy_dataset(3, 20, seed=8)

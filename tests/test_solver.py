@@ -212,7 +212,7 @@ class TestOneResidualProblemPerSolve:
         assert solve_signed(data, signed).shape == (k,)
         assert lasso_fit(data, spec, baseline).shape == (k,)
         assert ip_fit(data, spec, baseline).theta.shape == (k,)
-        assert bayesian_lasso_fit(data, spec, baseline).shape == (k,)
+        assert bayesian_lasso_fit(data, spec, baseline, np.random.default_rng([0])).shape == (k,)
 
     def test_form_keeps_only_statistics(self):
         form = ResidualForm(design_matrix(np.linspace(0, 1, 50), 3), np.ones(50))
