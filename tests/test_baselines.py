@@ -406,6 +406,9 @@ class TestBayesianLasso:
             {"hyper_rate": float("inf")},
             {"hyper_shape": float("inf")},
         ],
+        # Explicit ids keep each case's name from before the two seed cases,
+        # kwargs5 and kwargs6, were deleted with GibbsParams.seed.
+        ids=[f"kwargs{i}" for i in (0, 1, 2, 3, 4, 7, 8, 9, 10)],
     )
     def test_invalid_params(self, kwargs):
         with pytest.raises(ValueError):
