@@ -38,11 +38,11 @@ def integral(value, name: str) -> int:
     """``value`` as an int, for a config's count and seed fields.
 
     An integral number, such as JSON's 1e6, becomes its int; anything else,
-    1.5, inf, NaN or a string, raises ValueError.
+    1.5, inf, NaN, a string or null, raises ValueError.
     """
     try:
         whole = int(value) == value
-    except (OverflowError, ValueError):
+    except (OverflowError, TypeError, ValueError):
         whole = False
     if not whole:
         raise ValueError(f"{name} must be an integer")
@@ -65,9 +65,9 @@ def seed_field(value, name: str) -> int:
 class ModelSpec:
     """Polynomial order K (number of coefficients) and L1 budget C.
 
-    The likelihood assumes unit noise variance. For noise with a known
-    standard deviation sigma, fit targets y / sigma with scale C / sigma and
-    multiply the fitted theta by sigma.
+    The likelihood, :meth:`~balson.samplers.Problem.log_likelihood`, assumes
+    unit noise variance. For noise with a known standard deviation sigma, fit
+    targets y / sigma with scale C / sigma and multiply the fitted theta by sigma.
     """
 
     order: int

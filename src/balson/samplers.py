@@ -47,9 +47,10 @@ class SamplerConfig:
     seed: int = 0
 
     def __post_init__(self):
+        object.__setattr__(self, "sample_count", integral(self.sample_count, "sample_count"))
         if self.max_proposals is None:
             object.__setattr__(self, "max_proposals", PROPOSAL_BUDGET_FACTOR * self.sample_count)
-        for name in ("sample_count", "resample_rounds", "max_proposals"):
+        for name in ("resample_rounds", "max_proposals"):
             object.__setattr__(self, name, integral(getattr(self, name), name))
         object.__setattr__(self, "seed", seed_field(self.seed, "seed"))
         if self.sample_count < MIN_SAMPLE_COUNT:
@@ -99,15 +100,11 @@ class WeightedSampleSet:
         if self.proposals < s.shape[0]:
             raise ValueError("proposals must be at least the sample count")
 
-    def __len__(self):
-        return self.samples.shape[0]
-
 
 @dataclass(frozen=True)
 class RoundRecord:
     """One refinement round: which pass ran and what it produced."""
 
-    index: int
     kind: str  # "rs" or "is"
     ess: float
     acceptance_rate: float
@@ -119,8 +116,8 @@ class _Workspace:
     """The buffers of one solve, reused by every RS chunk and IS round of its passes.
 
     Three rows x K arrays hold the draws, C omega and theta G, and two
-    vectors of length rows hold the RSS and its quadratic term; the second
-    vector then takes RS's uniforms. A solve sizes it to L rows, the rows of
+    vectors of length rows hold the RSS, then ell, and its quadratic term;
+    the second then takes RS's uniforms. A solve sizes it to L rows, the rows of
     an IS round and of an RS chunk. A chunk or round of ``m <= rows`` draws
     uses the first ``m`` rows of each, so a solve makes no per-round or
     per-chunk rows x K temporaries.
@@ -144,14 +141,17 @@ class _Workspace:
         self.thetas, self.product = block[: 2 * rows * k].reshape(2, rows, k)
         self.values, self.scratch = block[2 * rows * k :].reshape(2, rows)
 
-    def draw_rss(
-        self, problem: Problem, prior: DirichletParams, rng: np.random.Generator, m: int
+    def draw(
+        self, problem: Problem, prior: DirichletParams, rng: np.random.Generator, m: int, kind: str
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Draw ``m`` points from ``prior`` and their RSS at C omega, as views (draws, rss)."""
+        """Draw ``m`` points from ``prior`` and their ell as views, after the one NaN-RSS check."""
         draws = sample_batch(prior, rng, m, out=self.draws[:m])
         thetas = np.multiply(draws, problem.budget, out=self.thetas[:m])
         work = (self.product[:m], self.scratch[:m])
-        return draws, problem.form.rss(thetas, out=self.values[:m], work=work)
+        rss = problem.form.rss(thetas, out=self.values[:m], work=work)
+        if np.any(np.isnan(rss)):
+            raise BalsonError(f"non-finite residual during {kind} sampling")
+        return draws, problem.log_likelihood(rss)
 
 
 def round_rng(seed: int, round_index: int) -> np.random.Generator:
@@ -215,6 +215,13 @@ class Problem:
         form = ResidualForm(data.inputs, data.targets, signed, order=spec.order)
         return cls(form, spec.scale)
 
+    @staticmethod
+    def log_likelihood(rss):
+        """The log-likelihood of the data, ell(RSS) = -RSS/2 up to a constant: Gaussian
+        noise of unit variance. Overwrites an array ``rss`` and returns it."""
+        rss *= -0.5
+        return rss
+
     @cached_property
     def floor(self) -> float:
         """The RS envelope floor :func:`min_rss`, taken on first use and then kept.
@@ -267,13 +274,12 @@ def _rejection(
 ) -> WeightedSampleSet:
     """Draw L posterior samples by rejection from the Dirichlet ``prior``.
 
-    A proposal omega is kept with probability exp(-(RSS(C omega) - floor)/2),
-    where the floor is :func:`min_rss`, a certified lower bound on RSS over
-    the scaled simplex. The envelope therefore dominates the likelihood on
-    the whole proposal support, every acceptance probability lies in (0, 1],
-    and the kept draws are exact posterior draws; the tighter the floor, the
-    fewer proposals they cost. Raises :class:`RejectionBudgetError` as soon
-    as the pass cannot reach L acceptances (see :func:`_cannot_finish`).
+    A proposal omega is kept with probability exp(min(ell(RSS(C omega)) - ell(floor), 0)),
+    for ell the :meth:`Problem.log_likelihood` and the floor :func:`min_rss`, a certified
+    lower bound on RSS over the scaled simplex. ell decreases, so ell(floor) bounds it on the
+    whole proposal support and the kept draws are exact posterior draws; the tighter the
+    floor, the fewer proposals they cost. Raises :class:`RejectionBudgetError` as soon as
+    the pass cannot reach L acceptances (see :func:`_cannot_finish`).
     """
     want = cfg.sample_count
     kept = []
@@ -282,13 +288,10 @@ def _rejection(
     n_accepted = 0
     while n_kept < want:
         m = min(want, cfg.max_proposals - n_proposed)
-        draws, gap = ws.draw_rss(problem, prior, rng, m)
-        gap -= problem.floor
-        if np.any(np.isnan(gap)):
-            raise BalsonError("non-finite residual during rejection sampling")
-        # Acceptance probability exp(-max(gap, 0) / 2), in place.
-        np.maximum(gap, 0.0, out=gap)
-        gap *= -0.5
+        draws, gap = ws.draw(problem, prior, rng, m, "rejection")
+        # The log acceptance probability, in place.
+        gap -= problem.log_likelihood(problem.floor)
+        np.minimum(gap, 0.0, out=gap)
         accepted = rng.random(m, out=ws.scratch[:m]) <= np.exp(gap, out=gap)
         n_proposed += m
         n_accepted += int(accepted.sum())
@@ -324,13 +327,10 @@ def _importance(
     rng: np.random.Generator,
     ws: _Workspace,
 ) -> WeightedSampleSet:
-    """Weight L draws from ``prior`` by the likelihood, log w_l = -RSS(C omega_l)/2,
-    normalised by :func:`normalize_log_weights`."""
-    draws, rss = ws.draw_rss(problem, prior, rng, cfg.sample_count)
-    if np.any(np.isnan(rss)):
-        raise BalsonError("non-finite residual during importance sampling")
-    rss *= -0.5
-    weights, ess = normalize_log_weights(rss)
+    """Weight L draws from ``prior`` by the likelihood, log w_l = ell(RSS(C omega_l)) with
+    ell the :meth:`Problem.log_likelihood`, normalised by :func:`normalize_log_weights`."""
+    draws, ell = ws.draw(problem, prior, rng, cfg.sample_count, "importance")
+    weights, ess = normalize_log_weights(ell)
     return WeightedSampleSet(samples=draws, weights=weights, ess=ess, acceptance_rate=1.0)
 
 
@@ -389,7 +389,6 @@ def fit_posterior(
             raise type(err)(f"resampling round {rnd}: {err}") from err
         trace.append(
             RoundRecord(
-                index=rnd,
                 kind=kind,
                 ess=batch.ess,
                 acceptance_rate=batch.acceptance_rate,

@@ -65,12 +65,13 @@ class FitReport:
     diagnostics: SolveDiagnostics
 
 
-def _solve_design(problem: Problem, *, cfg: BalsonConfig) -> FitReport:
-    """Run ``cfg``'s scheme on one solve's problem.
+def _solve_design(data: Dataset, *, cfg: BalsonConfig, signed: bool = False) -> FitReport:
+    """Build the solve's problem (see ``Problem.of``) and run ``cfg``'s scheme on it.
 
-    ``cfg`` is keyword-only: perfbench's tracer reads it by that name.
+    The clock covers both. ``cfg`` is keyword-only: perfbench's tracer reads it by that name.
     """
     started = time.perf_counter()
+    problem = Problem.of(data, cfg.prior, cfg.spec, signed)
     alpha_star, trace = fit_posterior(problem, cfg.prior, cfg.sampler, cfg.method)
     try:
         omega_star = mode(alpha_star)
@@ -101,7 +102,7 @@ def _solve_design(problem: Problem, *, cfg: BalsonConfig) -> FitReport:
 
 def solve(data: Dataset, cfg: BalsonConfig) -> FitReport:
     """Fit nonnegative budgeted polynomial coefficients to the dataset."""
-    return _solve_design(Problem.of(data, cfg.prior, cfg.spec), cfg=cfg)
+    return _solve_design(data, cfg=cfg)
 
 
 def solve_signed(data: Dataset, cfg: BalsonConfig) -> np.ndarray:
@@ -112,5 +113,4 @@ def solve_signed(data: Dataset, cfg: BalsonConfig) -> np.ndarray:
     ``Problem.of``). The halves are merged back to signed coefficients whose
     absolute sum is at most the budget.
     """
-    problem = Problem.of(data, cfg.prior, cfg.spec, signed=True)
-    return merge_signed(_solve_design(problem, cfg=cfg).theta_star.theta)
+    return merge_signed(_solve_design(data, cfg=cfg, signed=True).theta_star.theta)

@@ -1,5 +1,6 @@
 """CLI exit codes: 1 usage error, 2 numerical failure, 3 I/O failure."""
 
+import csv
 import json
 import re
 from pathlib import Path
@@ -9,6 +10,7 @@ import pytest
 
 from balson import cli
 from balson.bench import config_from_mapping
+from balson.bench_output import QUALITY
 from balson.exceptions import BalsonError
 from conftest import bench_outputs
 
@@ -166,6 +168,28 @@ def test_bench_workers_option_changes_no_output(tmp_path):
     assert outputs[0] == outputs[1]
 
 
+def test_bench_with_a_method_that_fails_every_row(tmp_path, capsys):
+    # 100 proposals cannot yield 100 acceptances, so both RS rows fail.
+    raw = {
+        "methods": ["IP", "BALSON-RS"],
+        "repetitions": 2,
+        "n_test": 50,
+        "sampler": {"sample_count": 100, "max_proposals": 100},
+    }
+    config = tmp_path / "bench.json"
+    config.write_text(json.dumps(raw))
+    out = tmp_path / "out"
+    assert cli.main(["bench", "--config", str(config), "--out-dir", str(out), "--svg"]) == cli.EXIT_OK
+    assert "       BALSON-RS  no successful repetitions" in capsys.readouterr().out.splitlines()
+    assert (out / "summary.csv").read_text().splitlines()[-1] == "BALSON-RS,,,0"
+    for q in QUALITY:
+        rows = (out / f"pvalues_{q}.csv").read_text().splitlines()
+        assert rows == ["method,IP", "BALSON-RS,degenerate"]
+    with (out / "curves.csv").open(newline="") as handle:
+        assert {row["BALSON-RS"] for row in csv.DictReader(handle)} == {""}
+    assert all((out / f"boxplot_{q}.svg").exists() for q in QUALITY)
+
+
 def bench_usage_error(tmp_path, capsys, raw, pattern, *extra, out_dir=True):
     """Run ``balson bench`` on the config ``raw`` (JSON text or data) with the
     ``extra`` flags, and ``--out-dir`` unless told not to. Asserts exit 1, a
@@ -202,6 +226,8 @@ def test_bench_invalid_json(tmp_path, capsys):
         ({}, ["--workers", "0"], "workers must be >= 1"),
         ({"out_dir": "x"}, [], "unknown config keys: ['out_dir']"),
         ({"baselines": {"gibbs": {"seed": 3}}}, [], "unknown baselines.gibbs config keys: ['seed']"),
+        ({"n_train": None}, [], "n_train must be an integer"),
+        ({"sampler": {"sample_count": None}}, [], "sampler config: sample_count must be an integer"),
     ],
 )
 def test_bench_config_out_of_range(tmp_path, capsys, raw, extra, message):

@@ -25,6 +25,8 @@ class TestTypes:
             SimplexVector(np.array([-0.1, 1.1]))
         with pytest.raises(ValueError):
             SimplexVector(np.array([0.3, 0.6]))
+        with pytest.raises(ValueError, match="^simplex point must be finite$"):
+            SimplexVector([0.5, np.nan])
 
     def test_simplex_sum_tolerance(self):
         SimplexVector(np.array([0.5, 0.5 + 5e-13]))
@@ -171,6 +173,9 @@ class TestMatchMoments:
             match_moments_per_dim([0.5, 0.5], [0.05, -0.01])
         with pytest.raises(ValueError):
             match_moments_per_dim([0.7, 0.7], [0.01, 0.01])  # means sum to 1.4
+        message = "^mean and variance must be 1-D vectors of equal length >= 2$"
+        with pytest.raises(ValueError, match=message):
+            match_moments_per_dim([0.2, 0.3, 0.5], [0.01, 0.01])
 
     def test_collapsed_dimension_is_skipped(self):
         # one dimension pinned at zero with zero variance must not poison the rest

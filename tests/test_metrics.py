@@ -81,6 +81,10 @@ class TestSparsity:
         v = rng.normal(size=6)
         assert sparsity(v) == pytest.approx(sparsity(np.abs(v)), rel=1e-12)
 
+    def test_needs_two_components(self):
+        with pytest.raises(ValueError, match="^sparsity needs a 1-D vector with K >= 2$"):
+            sparsity([1.0])
+
     def test_all_zero_raises(self):
         with pytest.raises(DegenerateStatisticError):
             sparsity(np.zeros(4))
@@ -123,6 +127,8 @@ class TestPairedTTest:
     def test_validation(self):
         with pytest.raises(ValueError):
             paired_t_test([1.0], [2.0])
+        with pytest.raises(ValueError, match="^paired samples must be 1-D and the same length$"):
+            paired_t_test([1.0, 2.0, 3.0], [1.0, 2.0])
 
 
 def test_import_loads_no_heavy_scipy_subpackage():

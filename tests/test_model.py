@@ -40,6 +40,8 @@ class TestTypes:
     def test_parameter_vector_validation(self):
         with pytest.raises(ValueError):
             ParameterVector(np.array([1.0, np.inf]))
+        with pytest.raises(ValueError, match="^theta must be 1-D$"):
+            ParameterVector(np.ones((2, 3)))
 
 
 def column_loop(xs, order):

@@ -68,6 +68,8 @@ class TestWeightedSampleSet:
             WeightedSampleSet(samples, np.array([0.5, 0.5]), 3.5, 1.0)
         with pytest.raises(ValueError):
             WeightedSampleSet(samples, np.array([0.5, 0.5]), 2.0, 1.5)
+        with pytest.raises(ValueError, match="^proposals must be at least the sample count$"):
+            WeightedSampleSet(samples, np.array([0.5, 0.5]), 2.0, 1.0, proposals=1)
 
     @pytest.mark.parametrize(
         "samples, weights, message",
@@ -83,6 +85,39 @@ class TestWeightedSampleSet:
         # below the bound" lets it through.
         with pytest.raises(ValueError, match=message):
             WeightedSampleSet(np.array(samples), np.array(weights), 1.0, 1.0)
+
+    @pytest.mark.parametrize(
+        "samples, weights",
+        [([0.5, 0.5], [0.5, 0.5]), ([[1.0], [1.0]], [0.5, 0.5]), ([[0.5, 0.5]] * 2, [1.0])],
+        ids=["1-d", "k-1", "weight-count"],
+    )
+    def test_shape_is_checked(self, samples, weights):
+        message = r"^samples must be \(L, K>=2\) with one weight per row$"
+        with pytest.raises(ValueError, match=message):
+            WeightedSampleSet(np.array(samples), np.array(weights), 1.0, 1.0)
+
+
+class TestProblem:
+    def test_prior_must_match_the_order(self):
+        with pytest.raises(ValueError, match="^prior dimension must equal the model order$"):
+            Problem.of(noisy_dataset(3, 10, seed=0), uniform_prior(4), ModelSpec(3, 1.0))
+
+    def test_log_likelihood_is_minus_half_the_rss_in_place(self):
+        rss = np.array([0.0, 1.0, 3.0])
+        assert Problem.log_likelihood(rss) is rss
+        np.testing.assert_array_equal(rss, [-0.0, -0.5, -1.5])
+        assert Problem.log_likelihood(4.0) == -2.0
+
+    def test_kernels_read_the_likelihood_from_the_problem(self, monkeypatch):
+        # With a flat likelihood RS accepts every proposal and IS weights
+        # uniformly, so both return round 0's draws as they are.
+        monkeypatch.setattr(Problem, "log_likelihood", staticmethod(lambda rss: rss * 0.0))
+        data, cfg = noisy_dataset(3, 50, seed=4), SamplerConfig(sample_count=500, seed=11)
+        rs = draw("rs", data, uniform_prior(3), ModelSpec(3, 1.0), cfg)
+        is_ = draw("is", data, uniform_prior(3), ModelSpec(3, 1.0), cfg)
+        assert (rs.acceptance_rate, rs.proposals) == (1.0, cfg.sample_count)
+        assert is_.ess == pytest.approx(cfg.sample_count, rel=1e-12)
+        np.testing.assert_array_equal(rs.samples, is_.samples)
 
 
 class TestMinRss:
@@ -153,11 +188,12 @@ class TestRejectionSampling:
         prior = DirichletParams([2.0, 3.0, 4.0])
         cfg = SamplerConfig(sample_count=20_000, seed=1)
         out = draw("rs", EMPTY, prior, ModelSpec(3, 1.0), cfg)
+        rows = out.samples.shape[0]
         assert out.acceptance_rate == 1.0
-        assert out.ess == len(out)
-        np.testing.assert_allclose(out.weights, 1.0 / len(out))
+        assert out.ess == rows
+        np.testing.assert_allclose(out.weights, 1.0 / rows)
         mean, variance = moments(prior)
-        se = np.sqrt(variance / len(out))
+        se = np.sqrt(variance / rows)
         assert np.all(np.abs(out.samples.mean(axis=0) - mean) <= 3.5 * se)
 
     def test_moments_match_quadrature(self):
@@ -184,6 +220,15 @@ class TestRejectionSampling:
         b = draw("rs", data, uniform_prior(3), ModelSpec(3, 1.0), cfg)
         np.testing.assert_array_equal(a.samples, b.samples)
         assert a.acceptance_rate == b.acceptance_rate
+
+    def test_non_finite_residual_raises(self, monkeypatch):
+        # With a zero floor the pass gets as far as the residuals, which are
+        # NaN at C = 1e160 (see TestImportanceSampling).
+        monkeypatch.setattr(samplers, "min_rss", lambda form, budget: 0.0)
+        data, spec = overflowing_problem(1e150, 1e160)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(BalsonError, match="^non-finite residual during rejection sampling$"):
+                draw("rs", data, uniform_prior(5), spec, SamplerConfig(sample_count=200))
 
     def test_overflowing_floor_raises(self):
         # y'y overflows, so the envelope floor cannot be certified.

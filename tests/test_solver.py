@@ -3,6 +3,7 @@ and what a failed solve leaves reachable."""
 
 import dataclasses
 import re
+import time
 import tracemalloc
 
 import numpy as np
@@ -366,6 +367,18 @@ class TestSolveIsTheLoopPlusTheMode:
     def test_unknown_method(self):
         with pytest.raises(ValueError, match="method must be one of"):
             config("IRS")
+
+    def test_clock_covers_the_problem_build(self, monkeypatch):
+        # Building the residual form is part of the solve: a 20 ms power-sum
+        # pass shows in the solve's time.
+        sums = model._power_sums
+
+        def slow_sums(*args):
+            time.sleep(0.02)
+            return sums(*args)
+
+        monkeypatch.setattr(model, "_power_sums", slow_sums)
+        assert solve(paper_like(100), config("IS")).diagnostics.wall_clock_s >= 0.02
 
 
 class TestOverflowingBasis:
