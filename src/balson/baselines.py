@@ -1,7 +1,7 @@
-"""Reference solvers: budgeted LASSO, log-barrier interior point, Bayesian LASSO.
+"""Reference solvers: budgeted LASSO, the interior-point problem (IP), Bayesian LASSO.
 
-The RS envelope floor, LASSO and IP share one constrained-QP core,
-:func:`_barrier_qp`, on the sufficient statistics of a
+The RS envelope floor, LASSO and IP share one exact constrained-QP core,
+:func:`_simplex_qp`, on the sufficient statistics of a
 :class:`~balson.model.ResidualForm`. Implemented at the fidelity needed for
 head-to-head metric comparisons against the Dirichlet-posterior solver,
 nothing more.
@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg.lapack import dposv, dpotrf, dpotrs, dtrtrs
+from scipy.linalg.lapack import dposv, dtrtrs
 
 from .exceptions import BalsonError
 from .model import (
@@ -30,7 +30,7 @@ from .model import (
 class LassoParams:
     """Deprecated and ignored: the penalty search of the former LASSO solver.
 
-    :func:`lasso_fit` now solves the constrained form directly on the barrier
+    :func:`lasso_fit` now solves the constrained form directly on the QP
     core, with ``BaselineConfig.ip``'s tolerance, so there is no penalty
     to search. The class and ``BaselineConfig.lasso`` remain only so that
     existing code and configs still construct.
@@ -46,11 +46,11 @@ class LassoParams:
 
 @dataclass(frozen=True)
 class IpParams:
-    """Stopping tolerance of the barrier core, relative to max(RSS, 1).
+    """The certificate that the QP core's answer meets, relative to max(RSS, 1).
 
-    The core stops once its Frank-Wolfe gap, an upper bound on RSS(theta)
-    minus the minimum, is at most ``gap_tol`` max(RSS(theta), 1) plus the
-    floor that rounding sets on the gap (see :func:`_barrier_qp`).
+    The answer is exact up to rounding. Its Frank-Wolfe gap, an upper bound on
+    RSS(theta) minus the minimum, must be at most ``gap_tol`` max(RSS, 1) plus
+    the rounding of the gap's terms, or the core raises (see :func:`_simplex_qp`).
     """
 
     gap_tol: float = 1e-10
@@ -60,13 +60,9 @@ class IpParams:
             raise ValueError("gap_tol must be positive and finite")
 
 
-# The barrier schedule: the first level, the factor applied once a level is
-# centred, the decrement (as a multiple of the level) below which it is, and
-# the Newton step cap of one solve.
-_MU0 = 1.0
-_SHRINK = 0.05
-_CENTRED = 0.25
-_MAX_STEPS = 200
+# Active-set steps per coordinate, and ulps per coordinate below which a step's
+# decrease or a bound multiplier counts as rounding (see _simplex_qp).
+_STEP_CAP, _ROUNDING_ULPS = 50, 1e3
 
 
 @dataclass(frozen=True)
@@ -160,14 +156,14 @@ def lasso_fit(data: Dataset, spec: ModelSpec, cfg: BaselineConfig) -> np.ndarray
     L1 ball into {theta+, theta- >= 0, sum <= C} on the design [X, -X], which
     is IP's problem (Tibshirani 1996), on the split
     :class:`~balson.model.ResidualForm` that the signed BALSON solve uses.
-    The stopping tolerance is ``cfg.ip``'s; ``cfg.lasso`` is ignored.
+    The certificate's tolerance is ``cfg.ip``'s; ``cfg.lasso`` is ignored.
     """
     form = ResidualForm(data.inputs, data.targets, True, order=spec.order)
     return merge_signed(_within_budget(form, spec.scale, cfg.ip))
 
 
 def ip_fit(data: Dataset, spec: ModelSpec, cfg: BaselineConfig) -> ParameterVector:
-    """Log-barrier solve of min RSS(theta) s.t. theta >= 0, sum theta <= C."""
+    """The paper's IP baseline: the exact minimiser of RSS s.t. theta >= 0, sum theta <= C."""
     return ParameterVector(ip_solve(data.inputs, data.targets, spec.scale, cfg.ip, order=spec.order))
 
 
@@ -179,7 +175,7 @@ def ip_solve(
     *,
     order: int | None = None,
 ) -> np.ndarray:
-    """Log-barrier solve of min RSS s.t. theta >= 0, sum theta <= C.
+    """The exact minimiser of RSS s.t. theta >= 0, sum theta <= C, as :func:`ip_fit`.
 
     ``design`` and ``order`` are :class:`~balson.model.ResidualForm`'s.
     """
@@ -195,68 +191,73 @@ def _within_budget(form: ResidualForm, budget: float, params: IpParams) -> np.nd
     k = form.xty.shape[0]
     gram = np.zeros((k + 1, k + 1))
     gram[:k, :k] = form.gram
-    return _barrier_qp(gram, np.append(form.xty, 0.0), form.yty, budget, params.gap_tol)[:k]
+    return _simplex_qp(gram, np.append(form.xty, 0.0), form.yty, budget, params.gap_tol)[:k]
 
 
-def _barrier_qp(
+def _simplex_qp(
     gram: np.ndarray, xty: np.ndarray, yty: float, budget: float, gap_tol: float
 ) -> np.ndarray:
     """min RSS(theta) s.t. theta >= 0, sum theta = C, from RSS's sufficient statistics.
 
-    RSS(theta) = y'y - 2 theta'X'y + theta'G theta. Newton's method on
-    RSS - mu sum ln theta_i over the plane sum theta = C, in the variables u
-    of theta = D u with D = diag(theta) (Boyd & Vandenberghe 2004, ch. 11).
-    There the Hessian is M = D 2G D + mu I. Solving M against the scaled
-    gradient and against theta gives the step that keeps sum theta = C; the
-    step goes at most 0.99 of the way to the boundary. Once the Newton
-    decrement is below mu/4, the level is centred and mu shrinks, down to
-    the first level with K mu at most the target below.
+    RSS(theta) = y'y - 2 theta'X'y + theta'G theta, with gradient g. A primal
+    active-set method (Nocedal & Wright 2006, Alg. 16.3), exact after
+    finitely many steps, starts at the vertex C e_i of least RSS. Each step
+    solves [[2G_FF, 1], [1', 0]] [p; nu] = [-g_F; 0] on the free set F by
+    least squares, so a singular G_FF does no harm, and goes along p as far
+    as the bounds allow; a blocking coordinate leaves F. Once a step would
+    lower RSS by less than rounding resolves, the method stops if every bound
+    multiplier g_i + nu is nonnegative up to rounding, and otherwise frees
+    the most negative one. Both tolerances scale with theta, not with C. The
+    answer is scaled to sum to C (1 - K eps), so that its sum stays below C.
 
-    Returns the first iterate whose Frank-Wolfe gap g'theta - C min g, with
-    g = grad RSS(theta), is at most ``gap_tol`` max(RSS(theta), 1) + r. The
-    gap bounds RSS(theta) minus the minimum, and a centred point at the last
-    level has a gap of at most (K - 1) mu. Here r = K eps C (C max|2G| +
-    max|2X'y|) bounds the rounding of the gap's terms and eps K times the
-    largest eigenvalue of D 2G D. So the gap is not asked to go below what
-    rounding resolves, and M's diagonal is never less than r, so that its
-    Cholesky factorisation succeeds however singular G is. Raises
-    :class:`BalsonError` if the target is not finite (y'y, RSS or r
-    overflows), if the factorisation fails all the same, or if the step cap
-    is reached first.
+    The answer must pass a Frank-Wolfe certificate: the gap g'theta - C min g,
+    an upper bound on RSS(theta) minus the minimum, is at most ``gap_tol``
+    max(RSS, 1) + 2 K eps C (C max|2G| + max|2X'y|), the rounding of its
+    terms. Raises :class:`BalsonError` if y'y or those terms are not finite,
+    at the step cap, or if the certificate fails.
     """
     k = gram.shape[0]
-    gram2 = 2.0 * gram
-    xty2 = 2.0 * xty
-    terms = budget * (budget * np.abs(gram2).max() + np.abs(xty2).max())
-    resolution = k * np.finfo(float).eps * terms
-    theta = np.full(k, budget / k)
-    rhs = np.empty((k, 2), order="F")
-    mu = _MU0
-    for _ in range(_MAX_STEPS):
-        gram_theta = gram2 @ theta
-        grad = gram_theta - xty2
-        rss = yty + float(theta @ (0.5 * gram_theta - xty2))
-        target = gap_tol * max(rss, 1.0) + resolution
-        if not math.isfinite(target):
-            raise BalsonError(f"barrier stop target is {target}: the statistics or budget overflow")
-        if float(grad @ theta) - budget * float(grad.min()) <= target:
-            return theta
-        hess = gram2 * np.outer(theta, theta)
-        hess.flat[:: k + 1] += max(mu, resolution)
-        chol, info = dpotrf(hess, lower=1, clean=0, overwrite_a=1)
-        if info != 0:
-            raise BalsonError(f"barrier Newton system not positive definite at level {mu:.3g}")
-        rhs[:, 0] = theta * grad - mu
-        rhs[:, 1] = theta
-        solved, _ = dpotrs(chol, rhs, lower=1)
-        free, normal = solved[:, 0], solved[:, 1]
-        step = float(theta @ free) / float(theta @ normal) * normal - free
-        decrement = -float(rhs[:, 0] @ step)
-        # A full step, or 0.99 of the way to the nearest bound if that is closer.
-        theta = theta * (1.0 + 0.99 / max(-float(step.min()), 0.99) * step)
-        if decrement <= _CENTRED * mu and k * mu > target:
-            mu *= _SHRINK
-    raise BalsonError(f"barrier stalled at level {mu:.3g}: step cap")
+    eps = np.finfo(float).eps
+    gram2, xty2 = 2.0 * gram, 2.0 * xty
+    abs_gram2, abs_xty2 = np.abs(gram2), np.abs(xty2)
+    terms = budget * (budget * abs_gram2.max() + abs_xty2.max())
+    if not math.isfinite(yty + terms):
+        raise BalsonError("simplex QP stop target is inf: the statistics or budget overflow")
+    rounding = _ROUNDING_ULPS * k * eps
+    theta, free = np.zeros(k), np.zeros(k, dtype=bool)
+    start = np.argmin(budget * (0.5 * budget * np.diag(gram2) - xty2))
+    theta[start], free[start] = budget, True
+    for _ in range(_STEP_CAP * k):
+        grad = gram2 @ theta - xty2
+        idx = np.flatnonzero(free)
+        kkt = np.ones((idx.size + 1, idx.size + 1))
+        kkt[:-1, :-1], kkt[-1, -1] = gram2[np.ix_(idx, idx)], 0.0
+        solution = np.linalg.lstsq(kkt, np.append(-grad[idx], 0.0), rcond=None)[0]
+        step, nu = solution[:-1], solution[-1]
+        decrease = -float(step @ (grad[idx] + 0.5 * (kkt[:-1, :-1] @ step)))
+        if decrease <= rounding * (yty + abs_xty2 @ theta + 0.5 * theta @ abs_gram2 @ theta):
+            multipliers = grad + nu
+            multipliers[free | (multipliers >= -rounding * (abs_gram2 @ theta + abs_xty2 + abs(nu)))] = 0.0
+            if multipliers.min() == 0.0:
+                break
+            free[np.argmin(multipliers)] = True
+            continue
+        shrinking = step < 0.0
+        ratios = theta[idx[shrinking]] / -step[shrinking]
+        length = float(ratios.min(initial=1.0))
+        theta[idx] = np.maximum(theta[idx] + length * step, 0.0)
+        if length < 1.0:
+            leaving = idx[shrinking][np.argmin(ratios)]
+            theta[leaving], free[leaving] = 0.0, False
+    else:
+        raise BalsonError(f"simplex QP did not converge in {_STEP_CAP * k} active-set steps")
+    theta *= budget * (1.0 - k * eps) / theta.sum()
+    grad = gram2 @ theta - xty2
+    rss = yty + 0.5 * float(theta @ (grad - xty2))
+    gap = float(grad @ theta) - budget * float(grad.min())
+    if not gap <= gap_tol * max(rss, 1.0) + 2.0 * k * eps * terms:
+        raise BalsonError(f"simplex QP answer failed its certificate: Frank-Wolfe gap {gap:.3g}")
+    return theta
 
 
 # Gibbs iterations drawn per generator call: a few hundred KB of draws at K = 10.

@@ -286,7 +286,7 @@ def config_from_mapping(raw: dict) -> ExperimentConfig:
     if isinstance(baselines, dict) and "lasso" in baselines:
         warnings.warn(
             'the "lasso" baseline key is deprecated and ignored: LASSO runs on the '
-            'barrier core with the "ip" tolerance',
+            'QP core with the "ip" tolerance',
             DeprecationWarning,
             stacklevel=2,
         )

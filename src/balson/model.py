@@ -168,7 +168,7 @@ class ResidualForm:
     [X'y, -X'y], so the N x 2K design is never formed.
 
     Raises :class:`BalsonError` if the Gram or X'y is non-finite, not y'y:
-    solvers take those two as finite, and the barrier core checks its target.
+    solvers take those two as finite, and the QP core checks its terms.
     """
 
     def __init__(

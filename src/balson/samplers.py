@@ -17,7 +17,7 @@ from functools import cached_property
 import numpy as np
 from scipy import special
 
-from .baselines import IpParams, _barrier_qp
+from .baselines import IpParams, _simplex_qp
 from .dirichlet import DirichletParams, match_moments_per_dim, sample_batch
 from .exceptions import BalsonError, DegenerateWeightsError, RejectionBudgetError
 from .model import Dataset, ModelSpec, ResidualForm, integral, seed_field
@@ -103,9 +103,8 @@ class WeightedSampleSet:
 
 @dataclass(frozen=True)
 class RoundRecord:
-    """One refinement round: which pass ran and what it produced."""
+    """One refinement round: what its pass produced."""
 
-    kind: str  # "rs" or "is"
     ess: float
     acceptance_rate: float
     proposals: int
@@ -144,12 +143,12 @@ class _Workspace:
     def draw(
         self, problem: Problem, prior: DirichletParams, rng: np.random.Generator, m: int, kind: str
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Draw ``m`` points from ``prior`` and their ell as views, after the one NaN-RSS check."""
+        """Draw ``m`` points from ``prior`` and their ell as views, after one non-finite-RSS check."""
         draws = sample_batch(prior, rng, m, out=self.draws[:m])
         thetas = np.multiply(draws, problem.budget, out=self.thetas[:m])
         work = (self.product[:m], self.scratch[:m])
         rss = problem.form.rss(thetas, out=self.values[:m], work=work)
-        if np.any(np.isnan(rss)):
+        if not np.all(np.isfinite(rss)):
             raise BalsonError(f"non-finite residual during {kind} sampling")
         return draws, problem.log_likelihood(rss)
 
@@ -162,16 +161,16 @@ def round_rng(seed: int, round_index: int) -> np.random.Generator:
 def min_rss(form: ResidualForm, budget: float) -> float:
     """Certified lower bound on RSS(theta) over the scaled simplex {theta >= 0, sum theta = C}.
 
-    This is the RS envelope floor. The barrier core minimises RSS over the
-    simplex. At its answer theta_hat, with g = grad RSS(theta_hat),
-    convexity gives for every simplex point
+    This is the RS envelope floor. The QP core returns the minimiser of RSS
+    over the simplex, exact up to rounding. At its answer theta_hat, with
+    g = grad RSS(theta_hat), convexity gives for every simplex point
     RSS(theta) >= RSS(theta_hat) - g'theta_hat + C min_i g_i, the
     Frank-Wolfe bound (Frank & Wolfe 1956; Jaggi 2013). The bound holds for
-    any theta_hat, and the core returns a theta_hat at which it is within
-    ``IpParams().gap_tol`` max(RSS, 1) of RSS(theta_hat), so the floor is
-    within that of the minimum.
+    any theta_hat, so rounding cannot make it invalid, and at the minimiser
+    it is tight: the core certifies it within ``IpParams().gap_tol``
+    max(RSS, 1), plus rounding, of RSS(theta_hat).
     """
-    theta = _barrier_qp(form.gram, form.xty, form.yty, budget, IpParams().gap_tol)
+    theta = _simplex_qp(form.gram, form.xty, form.yty, budget, IpParams().gap_tol)
     grad = 2.0 * (form.gram @ theta - form.xty)
     return max(form.rss(theta) - float(grad @ theta) + budget * float(grad.min()), 0.0)
 
@@ -389,7 +388,6 @@ def fit_posterior(
             raise type(err)(f"resampling round {rnd}: {err}") from err
         trace.append(
             RoundRecord(
-                kind=kind,
                 ess=batch.ess,
                 acceptance_rate=batch.acceptance_rate,
                 proposals=batch.proposals,

@@ -1,5 +1,5 @@
 """Shared oracles for the test suite, one way into the sampling kernels, one
-reader of a bench run's files, and inputs on which the barrier's stop target
+reader of a bench run's files, and inputs on which the QP core's stop target
 overflows.
 
 The oracles are deliberately independent of the library's computation
@@ -29,8 +29,8 @@ def draw(kind, data, prior, spec, cfg, rng=None):
     return kernel(samplers.Problem.of(data, prior, spec), prior, cfg, rng, ws)
 
 
-# (scale of y, budget C) at which the barrier's stop target overflows: y'y
-# does at y ~ 1e160, and the rounding term, which grows as C^2, at C = 1e160.
+# (scale of y, budget C) at which the QP core's stop target overflows: y'y
+# does at y ~ 1e160, and the gap's terms, which grow as C^2, at C = 1e160.
 OVERFLOWING_TARGETS = [(1e160, 1.0), (1e150, 1e160)]
 
 

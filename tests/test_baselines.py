@@ -2,8 +2,8 @@
 
 The oracle is scipy's SLSQP on the same constrained least-squares problem,
 with the residual sum of squares computed directly from the design. The
-barrier core runs at its default tolerance throughout: its coefficients
-match the oracle's to 1e-6.
+QP core runs at its default certificate tolerance throughout: its
+coefficients match the oracle's to 1e-6.
 """
 
 import json
@@ -127,13 +127,13 @@ class TestNonFiniteStatistics:
     @pytest.mark.parametrize("scale, budget", OVERFLOWING_TARGETS)
     @pytest.mark.parametrize("fit", [ip_fit, lasso_fit])
     def test_overflowing_stop_target_raises(self, fit, scale, budget):
-        # The Gram and X'y are finite, so only the barrier core can tell: an
-        # unchecked target passes the first iterate, the simplex centre.
+        # The Gram and X'y are finite, so only the QP core can tell: y'y or
+        # the gap's terms, which grow as C^2, overflow.
         data, spec = overflowing_problem(scale, budget)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with np.errstate(over="ignore"):
-                with pytest.raises(BalsonError, match="^barrier stop target is inf: "):
+                with pytest.raises(BalsonError, match="^simplex QP stop target is inf: "):
                     fit(data, spec, BaselineConfig())
 
     def test_bayesian_lasso_reads_no_yty(self):
@@ -169,14 +169,43 @@ class TestIp:
         )
         assert oracle.success, oracle.message
         fitted = ip_fit(data, ModelSpec(order, 1.0), BaselineConfig()).theta
-        assert np.all(fitted > 0.0) and fitted.sum() <= 1.0
+        # Both answers are exactly sparse where the bound is active: theta_2 = 0 at (0.9, -0.3, 0.4).
+        assert np.array_equal(fitted > 0, oracle.x > 0) and fitted.sum() <= 1.0
         np.testing.assert_allclose(fitted, oracle.x, atol=1e-6)
+
+    def test_step_cap_raises(self, monkeypatch):
+        # This solve runs the active-set loop 5 times; one step per coordinate allows 4.
+        monkeypatch.setattr(baselines, "_STEP_CAP", 1)
+        with pytest.raises(BalsonError, match="^simplex QP did not converge in 4 active-set steps$"):
+            ip_fit(dataset((0.2, 0.5, 0.6), 200, 7), ModelSpec(3, 1.0), BaselineConfig())
+
+    def test_uncertified_answer_raises(self, monkeypatch):
+        # Every step and multiplier now counts as rounding, so the core stops at
+        # its start vertex, which is not the minimiser: the certificate catches it.
+        monkeypatch.setattr(baselines, "_ROUNDING_ULPS", 1e30)
+        with pytest.raises(BalsonError, match="^simplex QP answer failed its certificate: Frank-Wolfe gap "):
+            ip_fit(dataset((0.2, 0.5, 0.6), 200, 7), ModelSpec(3, 1.0), BaselineConfig())
 
     @pytest.mark.parametrize("gap_tol", [0.0, -1e-8, float("nan"), float("inf")])
     def test_invalid_params(self, gap_tol):
-        # gap_tol = inf once stopped at the first iterate, the simplex centre.
+        # gap_tol = inf would make the core's certificate pass any answer.
         with pytest.raises(ValueError, match="gap_tol"):
             IpParams(gap_tol=gap_tol)
+
+
+class TestLooseBudget:
+    """y = 0.3 + 0.5 x is the model at sum theta = 0.8, so at any budget
+    C >= 0.8 the minimum is RSS 0 there, however far C is from binding."""
+
+    @pytest.mark.parametrize("budget", [1.0, 1e3, 1e6, 1e10, 1e20, 1e80])
+    @pytest.mark.parametrize("fit", [ip_fit, lasso_fit])
+    def test_exact_fit_at_any_budget(self, fit, budget):
+        data, spec = overflowing_problem(1.0, budget)
+        fitted = fit(data, spec, BaselineConfig())
+        theta = getattr(fitted, "theta", fitted)
+        resid = data.targets - design_matrix(data.inputs, spec.order) @ theta
+        assert float(resid @ resid) <= 1e-9
+        assert np.abs(theta).sum() == pytest.approx(0.8, abs=1e-9)
 
 
 class TestSingularGram:
@@ -184,10 +213,11 @@ class TestSingularGram:
 
     The optimality check is the Frank-Wolfe gap g'theta - min over the
     feasible set of g'x, with g = grad RSS(theta): an upper bound on
-    RSS(theta) minus the minimum. The core stops once the gap is within
-    ``gap_tol`` max(RSS, 1) plus K ulps of C (C max|2G| + max|2X'y|), the
+    RSS(theta) minus the minimum. The core certifies the gap within
+    ``gap_tol`` max(RSS, 1) plus 2K ulps of C (C max|2G| + max|2X'y|), the
     size of the gap's terms, over its K coordinates (one more for the
-    slack). Recomputing the gap here adds rounding of the same order.
+    slack). At the exact answer the gap is rounding alone, so recomputing
+    it here stays within the same allowance.
     """
 
     @staticmethod

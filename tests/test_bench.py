@@ -1,7 +1,10 @@
 import csv
 import dataclasses
 import json
+import re
 import warnings
+
+import pytest
 
 from balson import (
     BaselineConfig,
@@ -158,3 +161,17 @@ def test_an_unexpected_error_fails_only_its_rows(monkeypatch):
                 error="RuntimeError: factor lost",
             )
         assert dataclasses.replace(row, wall_clock_s=want.wall_clock_s) == want
+
+
+def test_pvalue_of_a_constant_difference_is_none():
+    # Every paired difference is 1.0: zero variance, so no t statistic.
+    assert bench._pvalue({0: 1.0, 1: 2.0}, {0: 0.0, 1: 1.0}) is None
+
+
+def test_a_failed_write_names_the_output_directory(tmp_path):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    out = blocker / "out"  # below a regular file, so it cannot be made
+    table = run_experiment(dataclasses.replace(TINY, repetitions=2, methods=("IP",)))
+    with pytest.raises(OSError, match=f"^failed writing benchmark outputs under {re.escape(str(out))}: "):
+        emit_outputs(table, summarize(table), out)

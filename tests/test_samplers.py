@@ -230,12 +230,24 @@ class TestRejectionSampling:
             with pytest.raises(BalsonError, match="^non-finite residual during rejection sampling$"):
                 draw("rs", data, uniform_prior(5), spec, SamplerConfig(sample_count=200))
 
+    def test_infinite_residual_raises(self):
+        # At C = 1e155 the quadratic term of the RSS overflows and the cross
+        # term does not, so every RSS is +inf; the pass stops at its first draw.
+        data, spec = overflowing_problem(1.0, 1e155)
+        with np.errstate(over="ignore"):
+            with pytest.raises(BalsonError, match="^non-finite residual during rejection sampling$"):
+                draw("rs", data, uniform_prior(5), spec, SamplerConfig(sample_count=200))
+
     def test_overflowing_floor_raises(self):
-        # y'y overflows, so the envelope floor cannot be certified.
+        # y'y overflows: every RSS is +inf, so the pass stops at its first
+        # draw, and the envelope floor cannot be certified either.
         data, spec = overflowing_problem(1e160, 1.0)
         with np.errstate(over="ignore"):
-            with pytest.raises(BalsonError, match="^barrier stop target is inf: "):
+            with pytest.raises(BalsonError, match="^non-finite residual during rejection sampling$"):
                 draw("rs", data, uniform_prior(5), spec, SamplerConfig(sample_count=200))
+            form = ResidualForm(data.inputs, data.targets, order=spec.order)
+            with pytest.raises(BalsonError, match="^simplex QP stop target is inf: "):
+                min_rss(form, spec.scale)
 
 
 class TestStopRule:
@@ -306,6 +318,13 @@ class TestImportanceSampling:
         # inf and -inf, and their sum is NaN.
         data, spec = overflowing_problem(1e150, 1e160)
         with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(BalsonError, match="^non-finite residual during importance sampling$"):
+                draw("is", data, uniform_prior(5), spec, SamplerConfig(sample_count=200))
+
+    def test_infinite_residual_raises(self):
+        # At C = 1e155 every RSS is +inf (see TestRejectionSampling).
+        data, spec = overflowing_problem(1.0, 1e155)
+        with np.errstate(over="ignore"):
             with pytest.raises(BalsonError, match="^non-finite residual during importance sampling$"):
                 draw("is", data, uniform_prior(5), spec, SamplerConfig(sample_count=200))
 
@@ -418,6 +437,13 @@ class TestIteratedSchemes:
         data, spec = overflowing_problem(1e150, 1e160)
         cfg = SamplerConfig(sample_count=200, resample_rounds=1)
         with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(BalsonError, match="^resampling round 0: non-finite residual during importance sampling$"):
+                fit_scheme("ISIRS", data, uniform_prior(5), spec, cfg)
+
+    def test_round_annotation_on_an_infinite_residual(self):
+        data, spec = overflowing_problem(1.0, 1e155)
+        cfg = SamplerConfig(sample_count=200, resample_rounds=1)
+        with np.errstate(over="ignore"):
             with pytest.raises(BalsonError, match="^resampling round 0: non-finite residual during importance sampling$"):
                 fit_scheme("ISIRS", data, uniform_prior(5), spec, cfg)
 
