@@ -60,8 +60,8 @@ class IpParams:
             raise ValueError("gap_tol must be positive and finite")
 
 
-# Active-set steps per coordinate, and ulps per coordinate below which a step's
-# decrease or a bound multiplier counts as rounding (see _simplex_qp).
+# Active-set steps per coordinate, and ulps per coordinate below which a negative
+# bound multiplier counts as rounding (see _simplex_qp).
 _STEP_CAP, _ROUNDING_ULPS = 50, 1e3
 
 
@@ -100,52 +100,31 @@ def soft_threshold(z: float, threshold: float) -> float:
     return 0.0
 
 
-def lasso_coordinate_descent(
-    design: np.ndarray,
-    targets: np.ndarray,
-    lam: float,
-    theta0: np.ndarray | None = None,
-    max_sweeps: int = 10_000,
-    sweep_tol: float = 1e-10,
-    trace: list[float] | None = None,
-) -> np.ndarray:
+def lasso_coordinate_descent(design: np.ndarray, targets: np.ndarray, lam: float) -> np.ndarray:
     """Cyclic coordinate descent on the penalised form ||y - X theta||^2 + lam ||theta||_1.
 
     Its solution at penalty lam is :func:`lasso_fit`'s at budget
-    C = ||theta_lam||_1, but ``lasso_fit`` does not call it. The quadratic
-    term is un-halved, so each coordinate update soft-thresholds at lam/2.
-    Appends the objective after every sweep to ``trace`` when given. Raises
-    :class:`BalsonError` if the sweep cap is hit before the largest
-    coordinate move falls below ``sweep_tol``.
+    C = ||theta_lam||_1, but ``lasso_fit`` does not call it, so it serves as
+    an independent reference. The quadratic term is un-halved, so each
+    coordinate update soft-thresholds at lam/2. Starts from zero and raises
+    :class:`BalsonError` if 10,000 sweeps pass before the largest coordinate
+    move falls below 1e-10.
     """
-    gram = design.T @ design
-    corr = design.T @ targets
-    yty = float(targets @ targets)
-    k = design.shape[1]
-    theta = np.zeros(k) if theta0 is None else np.asarray(theta0, dtype=np.float64).copy()
-
-    def objective():
-        return yty - 2.0 * float(corr @ theta) + float(theta @ gram @ theta) + lam * float(
-            np.abs(theta).sum()
-        )
-
-    for _ in range(max_sweeps):
+    form = ResidualForm(design, targets)
+    theta = np.zeros(form.xty.shape[0])
+    for _ in range(10_000):
         biggest_move = 0.0
-        for j in range(k):
-            gjj = gram[j, j]
+        for j, gjj in enumerate(np.diag(form.gram)):
             if gjj == 0.0:
                 continue
-            rho = corr[j] - float(gram[j] @ theta) + gjj * theta[j]
+            rho = form.xty[j] - float(form.gram[j] @ theta) + gjj * theta[j]
             new = soft_threshold(rho, 0.5 * lam) / gjj
             biggest_move = max(biggest_move, abs(new - theta[j]))
             theta[j] = new
-        if trace is not None:
-            trace.append(objective())
-        if biggest_move <= sweep_tol:
+        if biggest_move <= 1e-10:
             return theta
-    resid = targets - design @ theta
     raise BalsonError(
-        f"lasso coordinate descent did not converge; residual norm {np.linalg.norm(resid):.6g}"
+        f"lasso coordinate descent did not converge; residual norm {math.sqrt(form.rss(theta)):.6g}"
     )
 
 
@@ -191,12 +170,12 @@ def _within_budget(form: ResidualForm, budget: float, params: IpParams) -> np.nd
     k = form.xty.shape[0]
     gram = np.zeros((k + 1, k + 1))
     gram[:k, :k] = form.gram
-    return _simplex_qp(gram, np.append(form.xty, 0.0), form.yty, budget, params.gap_tol)[:k]
+    return _simplex_qp(gram, np.append(form.xty, 0.0), form.yty, budget, params.gap_tol)[0][:k]
 
 
 def _simplex_qp(
     gram: np.ndarray, xty: np.ndarray, yty: float, budget: float, gap_tol: float
-) -> np.ndarray:
+) -> tuple[np.ndarray, float]:
     """min RSS(theta) s.t. theta >= 0, sum theta = C, from RSS's sufficient statistics.
 
     RSS(theta) = y'y - 2 theta'X'y + theta'G theta, with gradient g. A primal
@@ -204,17 +183,21 @@ def _simplex_qp(
     finitely many steps, starts at the vertex C e_i of least RSS. Each step
     solves [[2G_FF, 1], [1', 0]] [p; nu] = [-g_F; 0] on the free set F by
     least squares, so a singular G_FF does no harm, and goes along p as far
-    as the bounds allow; a blocking coordinate leaves F. Once a step would
-    lower RSS by less than rounding resolves, the method stops if every bound
-    multiplier g_i + nu is nonnegative up to rounding, and otherwise frees
-    the most negative one. Both tolerances scale with theta, not with C. The
-    answer is scaled to sum to C (1 - K eps), so that its sum stays below C.
+    as the bounds allow; a blocking coordinate leaves F. A step that no bound
+    blocks ends at the minimiser of RSS on F's face, where the same nu gives
+    the bound multipliers g_i + nu: the method stops if all are nonnegative
+    up to rounding, which scales with theta, not with C, and otherwise frees
+    the most negative. If the next step is blocked at length 0 by the
+    coordinate just freed, its multiplier was rounding, and the method stops
+    too. The answer is scaled to sum to C (1 - K eps), so that its sum stays
+    below C.
 
     The answer must pass a Frank-Wolfe certificate: the gap g'theta - C min g,
     an upper bound on RSS(theta) minus the minimum, is at most ``gap_tol``
     max(RSS, 1) + 2 K eps C (C max|2G| + max|2X'y|), the rounding of its
-    terms. Raises :class:`BalsonError` if y'y or those terms are not finite,
-    at the step cap, or if the certificate fails.
+    terms. Returns theta and the bound RSS(theta) - gap on the minimum.
+    Raises :class:`BalsonError` if y'y or those terms are not finite, at the
+    step cap, or if the certificate fails.
     """
     k = gram.shape[0]
     eps = np.finfo(float).eps
@@ -226,29 +209,31 @@ def _simplex_qp(
     rounding = _ROUNDING_ULPS * k * eps
     theta, free = np.zeros(k), np.zeros(k, dtype=bool)
     start = np.argmin(budget * (0.5 * budget * np.diag(gram2) - xty2))
-    theta[start], free[start] = budget, True
+    theta[start], free[start], freed = budget, True, -1
+    grad = gram2 @ theta - xty2
     for _ in range(_STEP_CAP * k):
-        grad = gram2 @ theta - xty2
         idx = np.flatnonzero(free)
         kkt = np.ones((idx.size + 1, idx.size + 1))
         kkt[:-1, :-1], kkt[-1, -1] = gram2[np.ix_(idx, idx)], 0.0
         solution = np.linalg.lstsq(kkt, np.append(-grad[idx], 0.0), rcond=None)[0]
         step, nu = solution[:-1], solution[-1]
-        decrease = -float(step @ (grad[idx] + 0.5 * (kkt[:-1, :-1] @ step)))
-        if decrease <= rounding * (yty + abs_xty2 @ theta + 0.5 * theta @ abs_gram2 @ theta):
-            multipliers = grad + nu
-            multipliers[free | (multipliers >= -rounding * (abs_gram2 @ theta + abs_xty2 + abs(nu)))] = 0.0
-            if multipliers.min() == 0.0:
-                break
-            free[np.argmin(multipliers)] = True
-            continue
         shrinking = step < 0.0
         ratios = theta[idx[shrinking]] / -step[shrinking]
         length = float(ratios.min(initial=1.0))
         theta[idx] = np.maximum(theta[idx] + length * step, 0.0)
         if length < 1.0:
             leaving = idx[shrinking][np.argmin(ratios)]
+            if length == 0.0 and leaving == freed:
+                break  # freed's negative multiplier was rounding: cycling would follow
             theta[leaving], free[leaving] = 0.0, False
+        grad = gram2 @ theta - xty2
+        if length == 1.0:
+            multipliers = grad + nu
+            multipliers[free | (multipliers >= -rounding * (abs_gram2 @ theta + abs_xty2 + abs(nu)))] = 0.0
+            if multipliers.min() == 0.0:
+                break
+            freed = np.argmin(multipliers)
+            free[freed] = True
     else:
         raise BalsonError(f"simplex QP did not converge in {_STEP_CAP * k} active-set steps")
     theta *= budget * (1.0 - k * eps) / theta.sum()
@@ -257,7 +242,7 @@ def _simplex_qp(
     gap = float(grad @ theta) - budget * float(grad.min())
     if not gap <= gap_tol * max(rss, 1.0) + 2.0 * k * eps * terms:
         raise BalsonError(f"simplex QP answer failed its certificate: Frank-Wolfe gap {gap:.3g}")
-    return theta
+    return theta, rss - gap
 
 
 # Gibbs iterations drawn per generator call: a few hundred KB of draws at K = 10.

@@ -130,7 +130,7 @@ def match_moments_per_dim(mean, variance) -> DirichletParams:
     if np.any(v < 0.0) or not np.all(np.isfinite(v)):
         raise ValueError("variances must be finite and nonnegative")
     total = float(m.sum())
-    if abs(total - 1.0) > 1e-6:
+    if not abs(total - 1.0) <= 1e-6:
         raise ValueError("means must sum to 1 within 1e-6")
     m = m / total
     with np.errstate(divide="ignore", invalid="ignore"):

@@ -226,7 +226,7 @@ def merge_signed(theta_nonneg) -> np.ndarray:
     v = np.asarray(theta_nonneg, dtype=np.float64)
     if v.ndim != 1 or v.shape[0] % 2 != 0:
         raise ValueError("split vector must be 1-D with even length")
-    if np.any(v < 0.0):
+    if not np.all(v >= 0.0):
         raise ValueError("split vector components must be nonnegative")
     half = v.shape[0] // 2
     return v[:half] - v[half:]

@@ -159,20 +159,8 @@ def round_rng(seed: int, round_index: int) -> np.random.Generator:
 
 
 def min_rss(form: ResidualForm, budget: float) -> float:
-    """Certified lower bound on RSS(theta) over the scaled simplex {theta >= 0, sum theta = C}.
-
-    This is the RS envelope floor. The QP core returns the minimiser of RSS
-    over the simplex, exact up to rounding. At its answer theta_hat, with
-    g = grad RSS(theta_hat), convexity gives for every simplex point
-    RSS(theta) >= RSS(theta_hat) - g'theta_hat + C min_i g_i, the
-    Frank-Wolfe bound (Frank & Wolfe 1956; Jaggi 2013). The bound holds for
-    any theta_hat, so rounding cannot make it invalid, and at the minimiser
-    it is tight: the core certifies it within ``IpParams().gap_tol``
-    max(RSS, 1), plus rounding, of RSS(theta_hat).
-    """
-    theta = _simplex_qp(form.gram, form.xty, form.yty, budget, IpParams().gap_tol)
-    grad = 2.0 * (form.gram @ theta - form.xty)
-    return max(form.rss(theta) - float(grad @ theta) + budget * float(grad.min()), 0.0)
+    """The RS envelope floor: the QP core's certified lower bound on RSS over the scaled simplex."""
+    return max(_simplex_qp(form.gram, form.xty, form.yty, budget, IpParams().gap_tol)[1], 0.0)
 
 
 def normalize_log_weights(log_weights: np.ndarray) -> tuple[np.ndarray, float]:

@@ -174,13 +174,13 @@ class TestIp:
         np.testing.assert_allclose(fitted, oracle.x, atol=1e-6)
 
     def test_step_cap_raises(self, monkeypatch):
-        # This solve runs the active-set loop 5 times; one step per coordinate allows 4.
+        # This solve takes 5 active-set steps; one step per coordinate, the slack's included, allows 4.
         monkeypatch.setattr(baselines, "_STEP_CAP", 1)
         with pytest.raises(BalsonError, match="^simplex QP did not converge in 4 active-set steps$"):
-            ip_fit(dataset((0.2, 0.5, 0.6), 200, 7), ModelSpec(3, 1.0), BaselineConfig())
+            ip_fit(dataset((0.5, 0.2, -0.3), 200, 0), ModelSpec(3, 1.0), BaselineConfig())
 
     def test_uncertified_answer_raises(self, monkeypatch):
-        # Every step and multiplier now counts as rounding, so the core stops at
+        # Every negative multiplier now counts as rounding, so the core stops at
         # its start vertex, which is not the minimiser: the certificate catches it.
         monkeypatch.setattr(baselines, "_ROUNDING_ULPS", 1e30)
         with pytest.raises(BalsonError, match="^simplex QP answer failed its certificate: Frank-Wolfe gap "):
@@ -255,6 +255,28 @@ class TestSingularGram:
         theta = lasso_fit(Dataset(xs, targets), ModelSpec(order, budget), BaselineConfig())
         assert np.abs(theta).sum() <= budget
         self.assert_within_tolerance(design_matrix(xs, order), targets, theta, budget, l1_gap, 2 * order + 1)
+
+    # Fewer points than coefficients. On 4471 the last step predicts a decrease
+    # the size of rounding but is real. On 567's rank-1 face a freed coordinate's
+    # negative multiplier is rounding, and the step blocked at length 0 by it
+    # must stop the core, or it frees and drops the coordinate until its step cap.
+    @pytest.mark.parametrize("seed, shape", [(4471, (2, 5)), (567, (1, 4))])
+    def test_ip_with_fewer_points_than_coefficients(self, seed, shape):
+        rng = np.random.default_rng(seed)
+        design, targets = rng.standard_normal(shape), rng.standard_normal(shape[0])
+        theta = ip_solve(design, targets, 5.0, IpParams())
+        assert np.all(theta >= 0.0) and theta.sum() <= 5.0
+        self.assert_within_tolerance(design, targets, theta, 5.0, simplex_gap, shape[1] + 1)
+
+    def test_lasso_with_fewer_points_than_coefficients(self):
+        # Ten split coefficients and the slack from four points, a Gram of rank 4; as on
+        # 4471, the last step predicts a decrease the size of rounding but is real.
+        rng = np.random.default_rng(56)
+        xs = np.sort(rng.uniform(0, 1, 4))
+        targets = 0.3 + 0.5 * xs + rng.standard_normal(4)
+        theta = lasso_fit(Dataset(xs, targets), ModelSpec(5, 3.0), BaselineConfig())
+        assert np.abs(theta).sum() <= 3.0
+        self.assert_within_tolerance(design_matrix(xs, 5), targets, theta, 3.0, l1_gap, 11)
 
 
 def simplex_gap(grad, theta, budget):

@@ -173,6 +173,8 @@ class TestMatchMoments:
             match_moments_per_dim([0.5, 0.5], [0.05, -0.01])
         with pytest.raises(ValueError):
             match_moments_per_dim([0.7, 0.7], [0.01, 0.01])  # means sum to 1.4
+        with pytest.raises(ValueError, match="^means must sum to 1 within 1e-6$"):
+            match_moments_per_dim([np.nan, 0.5], [0.1, 0.1])
         message = "^mean and variance must be 1-D vectors of equal length >= 2$"
         with pytest.raises(ValueError, match=message):
             match_moments_per_dim([0.2, 0.3, 0.5], [0.01, 0.01])

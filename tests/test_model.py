@@ -153,6 +153,8 @@ class TestSignedSplit:
             merge_signed(np.array([1.0, 2.0, 3.0]))
         with pytest.raises(ValueError):
             merge_signed(np.array([1.0, -0.1]))
+        with pytest.raises(ValueError, match="^split vector components must be nonnegative$"):
+            merge_signed(np.array([np.nan, 0.0]))
 
     def test_round_trip_identity(self, rng):
         for _ in range(1000):

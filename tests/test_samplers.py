@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import special
 from scipy.optimize import minimize
@@ -124,6 +124,11 @@ class TestMinRss:
     """The RS floor: a lower bound on RSS over the scaled simplex, tight at its minimum."""
 
     @settings(max_examples=200, deadline=None)
+    # A near-singular Gram whose last step, 5e-7 long, is real, and a full-rank
+    # optimum where each re-solve's predicted decrease is KKT-residual noise
+    # times a large nu.
+    @example(k=3, n=2, budget=1.0, split=False, target_scale=1.0, seed=2)
+    @example(k=2, n=23, budget=3.0, split=False, target_scale=1.0, seed=4040)
     @given(
         k=st.integers(2, 6),
         n=st.integers(0, 30),
